@@ -13,7 +13,6 @@ from repro.data.queries import JoinQuery
 from repro.engine.columns import HAS_NUMPY
 from repro.engine.stream import interleave_streams, make_tuples
 from repro.joins.predicates import EquiPredicate
-from repro.testing import assert_run_equivalent
 
 
 def test_fig7a_throughput(benchmark):
@@ -112,16 +111,13 @@ def test_fig7a_adaptive_dataplane_wall_clock():
     but bit-identical simulations (virtual times, migrations, latencies;
     pinned cell by cell in tests/test_adaptive_conformance.py).
 
-    With wire-level delivery merging (this plane's default) the adaptive
-    plane must additionally reach *parity with the fixed plane* — the
-    sender-side batcher that trades virtual-time exactness for speed — within
-    a noise band: the fixed plane's remaining edge is bounded, so "fastest
-    plane" and "reference semantics" are no longer a trade-off.  (On the
-    development machine the suite measures per-tuple 0.24s / adaptive 0.15s /
-    fixed 0.14s — adaptive ~1.6x the reference and within ~10% of fixed, vs
-    the ~1.5x/~1.7x split recorded by the previous release: the merged
-    adaptive plane is ~1.7x the wall of its unmerged predecessor.  The CI
-    breadcrumb tracks the absolute walls across releases.)
+    The adaptive plane must also stay within a noise band of the fixed
+    plane — the sender-side batcher that trades virtual-time exactness for
+    speed — so "fastest plane" and "reference semantics" are not a
+    trade-off.  The adaptive plane keeps the per-tuple wire (one heap
+    event per send) and saves its wall by draining receiver backlogs in
+    coalesced handler runs.  (On a 2-core x86-64 box with CPython 3.11,
+    per-tuple ÷ adaptive measured ~1.6x and adaptive ÷ fixed ~1.1x.)
 
     The planes are measured interleaved (best-of-N each, after one untimed
     warm-up pass) so slow drift on shared runners biases none of them.
@@ -148,38 +144,6 @@ def test_fig7a_adaptive_dataplane_wall_clock():
         f"adaptive plane lost parity with the fixed plane: adaptive "
         f"{adaptive_wall:.3f}s vs fixed {fixed_wall:.3f}s"
     )
-
-
-def test_fig7a_delivery_merging_heap_events():
-    """Wire-level delivery merging cuts the adaptive plane's heap events
-    >=2x (vs the same plane with merging disabled — the previous release's
-    wire) while staying a bit-identical simulation.
-
-    Heap events are deterministic counters, so this gate is noise-free.
-    """
-    results = {}
-    for label, merging in (("merged", None), ("unmerged", False)):
-        kwargs = {} if merging is None else {"operator_kwargs": {"delivery_merging": merging}}
-        config = ExperimentConfig(
-            machines=16, scale=0.4, skew="Z4", seed=1, batch_size=None,
-            batching="adaptive", **kwargs,
-        )
-        # Rebuilding the query per run re-draws identical datasets (same
-        # seed); outputs are compared by count + timing here — id-level
-        # output equality runs on shared arrival orders in
-        # tests/test_adaptive_conformance.py.
-        query = build_query("EQ5", config)
-        results[label] = run_single("Dynamic", query, config)
-    merged, unmerged = results["merged"], results["unmerged"]
-    assert_run_equivalent(merged, unmerged, label="fig7a merged-vs-unmerged")
-    assert merged.heap_events * 2 <= unmerged.heap_events, (
-        f"expected >=2x fewer heap events, got merged {merged.heap_events} "
-        f"vs unmerged {unmerged.heap_events}"
-    )
-    # Handler invocations are untouched by wire merging (receiver draining
-    # owns that axis) — a drop would mean lost work.
-    assert merged.events_processed == unmerged.events_processed
-    assert merged.wire_histogram, "merged run must report per-link run lengths"
 
 
 SEED_DENSE = 5

@@ -28,17 +28,16 @@ from repro.api.registry import (
     PredicateKind,
     Registry,
     batch_controllers,
-    executors,
     operators,
     predicate_kinds,
     probe_engines,
     register_batch_controller,
-    register_executor,
     register_operator,
     register_predicate,
     register_probe_engine,
 )
 from repro.api.session import JoinSession, StreamSnapshot, build_operator
+from repro.joins.predicates import UnsupportedKeyError
 from repro.engine.faults import (
     FaultSpec,
     NetworkFaultSpec,
@@ -61,6 +60,7 @@ __all__ = [
     "RunConfig",
     "StreamSnapshot",
     "UnreachableLinkError",
+    "UnsupportedKeyError",
     "batch_controllers",
     "build_operator",
     "crash",
@@ -68,13 +68,11 @@ __all__ = [
     "delay",
     "drop",
     "duplicate",
-    "executors",
     "operators",
     "partition",
     "predicate_kinds",
     "probe_engines",
     "register_batch_controller",
-    "register_executor",
     "register_operator",
     "register_predicate",
     "register_probe_engine",

@@ -188,6 +188,7 @@ class _StreamingRun:
                     f"expected one of {relations}"
                 )
             chunk.append(item)
+        query.predicate.check_keys(chunk, query.left_relation)
         for item in chunk:
             self._ingest(item)
         if run:
@@ -206,9 +207,6 @@ class _StreamingRun:
             if len(buffer) >= self.batch_size:
                 self._emit(destination, self._buffers.pop(destination), arrival_time)
         else:
-            # schedule_data merges consecutive same-destination ingest
-            # messages into DeliveryRuns when the simulator has wire-level
-            # delivery merging enabled (falls back to schedule() otherwise).
             self.simulator.schedule_data(
                 arrival_time,
                 destination,
@@ -405,6 +403,10 @@ class JoinSession:
         The first push opens the stream lazily; after :meth:`finish` a new
         run must be opened explicitly via :meth:`open_stream` (a stray push
         would otherwise silently start a fresh, empty simulation).
+
+        A chunk holding a band key outside the real numbers (NaN, ``None``,
+        a string, ...) raises :class:`~repro.joins.predicates.UnsupportedKeyError`
+        before any of its tuples is fed.
         """
         if self._stream is None:
             if self._stream_finished:

@@ -47,16 +47,10 @@ class ExperimentConfig:
             ``tests/test_adaptive_conformance.py``), only wall-clock and
             simulator-event counts change.
         batch_max: adaptive-plane run-size cap (``None`` = controller default).
-        executor: execution backend ("simulated" or "threads").  Results are
-            backend-invariant (pinned by ``tests/test_executor_conformance.py``);
-            the summary rows carry an ``executor`` column so labelled
-            breadcrumbs can compare wall-clock across backends.
-        num_workers: worker-fleet size for parallel executors (``None`` =
-            one worker per machine; must stay None for ``"simulated"``).
         operator_kwargs: extra :class:`RunConfig` field overrides (and the
             operator-specific ``adaptive`` / ``initial_mapping``) applied to
-            every run under this config — e.g. ``{"delivery_merging": False}``
-            to benchmark the adaptive plane on the unmerged wire.
+            every run under this config — e.g. ``{"probe_engine": "scalar"}``
+            to benchmark the scalar probe engine.
     """
 
     machines: int = 16
@@ -69,8 +63,6 @@ class ExperimentConfig:
     batch_size: int | None = 1
     batching: str = "fixed"
     batch_max: int | None = None
-    executor: str = "simulated"
-    num_workers: int | None = None
     operator_kwargs: dict = field(default_factory=dict)
 
     def run_config(self) -> RunConfig:
@@ -94,8 +86,6 @@ class ExperimentConfig:
             batch_size=None if drains else self.batch_size,
             batching=self.batching,
             batch_max=self.batch_max if drains else None,
-            executor=self.executor,
-            num_workers=self.num_workers,
         )
         config_overrides = {
             key: value

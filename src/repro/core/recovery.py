@@ -34,12 +34,6 @@ fault-free twin (Theorem 4.5 holds under any migration sequence, including
 the involuntary one), while timings and the migration sequence may diverge;
 replaying the same crashed run twice is bit-identical.
 
-The whole plane is executor-agnostic: on the threaded backend handlers
-journal from worker threads (the checkpoint store hands each thread its own
-SQLite connection behind one store-wide lock), faults are barriers on the
-dispatch frontier, and a crashed threaded run is bit-identical to the
-crashed oracle (``tests/test_threads_recovery.py``).
-
 Composition with the unreliable wire (``RunConfig.network_faults``): the
 reliable-delivery sublayer dedups *below* the task layer — a message is
 released to a task at most once, however many times the wire duplicated or

@@ -40,15 +40,10 @@ class RunResult:
         batch_histogram: drained-run size → count on the adaptive plane
             (None on the fixed plane) — the batch-size trace showing how the
             controller sized runs under the workload's backlog.
-        delivery_merging: whether wire-level delivery merging was enabled.
         heap_events: events popped from the simulator's global heap —
-            deliveries (or merged delivery runs), machine ticks, control
-            messages.  The quantity delivery merging collapses; contrast with
-            ``events_processed`` (handler invocations), which receiver
-            draining collapses.
-        wire_histogram: merged delivery-run length → count per FIFO link
-            (None with merging off) — localises coalescing changes to the
-            wire (this) versus the receiver (``batch_histogram``).
+            deliveries, machine ticks, control messages and fault-plane
+            actions.  Contrast with ``events_processed`` (handler
+            invocations), which receiver draining collapses.
         migration_events: the full migration sequence as
             ``(epoch, old_mapping, new_mapping, decided_at, completed_at)``
             tuples — pinned identical across data planes by the adaptive
@@ -64,26 +59,7 @@ class RunResult:
         progress_series: (fraction of input processed, virtual time) samples.
         outputs: matched (left_tuple_id, right_tuple_id) pairs when output
             collection was requested (tests only).
-        executor: execution backend the run used ("simulated" or "threads").
-            Every deterministic quantity above is backend-invariant (pinned
-            by the executor conformance suite); the three fields below are
-            the wall-clock-derived stats that legitimately differ.
         wall_time: real seconds spent inside the execution loop.
-        worker_wall: per-worker real seconds spent inside task handlers
-            (parallel executors only; None on the simulated backend).
-        worker_events: per-worker handler invocation counts (parallel
-            executors only; None on the simulated backend).
-        effective_workers: worker threads the parallel executor actually
-            ran after clamping the request to the machine count (a worker
-            owns whole machines); None on the simulated backend.  Surfaced
-            so trend rows never compare mislabeled fleet sizes.
-        overlap_dispatches: dispatches of the threaded frontier that started
-            while at least one other handler was still in flight.  A
-            structurally deterministic count (dispatch decisions are pure
-            functions of virtual-time keys), 0 on the simulated backend.
-        peak_inflight: largest number of handlers concurrently in flight on
-            the threaded frontier (1 = lock-step; 0 on the simulated
-            backend).
         faults_injected: number of machine crashes the fault schedule injected.
         recovery_time: total virtual time spent recovering — per crash, the
             outage window (crash to restart) plus the restore cost of
@@ -104,8 +80,8 @@ class RunResult:
         messages_reordered: frames that arrived ahead of a gap and waited in
             the receiver's in-order release buffer.
         retransmit_histogram: attempt number → count of retransmits sent on
-            that attempt (the backoff depth profile), next to
-            ``wire_histogram``; None without network faults.
+            that attempt (the backoff depth profile); None without network
+            faults.
         wire_counters: the full reliable-wire counter set as a plain dict
             (sent/delivered/dropped/duplicated/retransmitted/reordered/
             deduped/applied), reconciling as ``sent == delivered + dropped``
@@ -135,9 +111,7 @@ class RunResult:
     batch_size: int = 1
     batching: str = "fixed"
     batch_histogram: dict[int, int] | None = None
-    delivery_merging: bool = False
     heap_events: int = 0
-    wire_histogram: dict[int, int] | None = None
     migration_events: list[tuple] = field(default_factory=list)
     machine_busy: list[tuple[float, float]] = field(default_factory=list)
     probe_work: float = 0.0
@@ -146,13 +120,7 @@ class RunResult:
     cardinality_series: list[tuple[int, float]] = field(default_factory=list)
     progress_series: list[tuple[float, float]] = field(default_factory=list)
     outputs: list[tuple[int, int]] | None = None
-    executor: str = "simulated"
     wall_time: float = 0.0
-    worker_wall: list[float] | None = None
-    worker_events: list[int] | None = None
-    effective_workers: int | None = None
-    overlap_dispatches: int = 0
-    peak_inflight: int = 0
     faults_injected: int = 0
     recovery_time: float = 0.0
     tuples_replayed: int = 0
@@ -181,8 +149,4 @@ class RunResult:
             "spilled": self.spilled,
             "final_mapping": str(self.final_mapping),
             "events_processed": self.events_processed,
-            "executor": self.executor,
-            "effective_workers": (
-                "" if self.effective_workers is None else self.effective_workers
-            ),
         }

@@ -163,12 +163,6 @@ class ReshufflerTask(Task):
         self.buffering = False
         self._buffer: list[StreamTuple] = []
         self._seen = 0
-        # The controller samples run-wide state mid-handler (processed-input
-        # totals, cluster peak storage for the ILF series), so its handlers
-        # must see every prior handler's effects applied: parallel backends
-        # serialise them as barriers.  Plain reshufflers stay machine-local.
-        if controller is not None:
-            self.reads_global_state = True
 
     #: Recovery journal (fault-tolerant plane only; see repro.core.recovery).
     #: Protocol-critical transitions are journaled as deltas so a restored
@@ -293,23 +287,12 @@ class ReshufflerTask(Task):
                 horizon = horizon_fn()
             if horizon is not None and end >= horizon:
                 break
-            head = inbox[0]
             # Inline drain_key: same task + SOURCE kind is the whole key
             # (blocking cannot flip inside a run — RESUME is control-plane).
-            if head.__class__ is tuple:
-                task, message = head
-                if task is not self or message.kind is not source_kind:
-                    break
-                inbox.popleft()
-            else:
-                if head.task is not self:
-                    break
-                message = head.messages[head.index]
-                if message.kind is not source_kind:
-                    break
-                head.index += 1
-                if head.index == head.end:
-                    inbox.popleft()
+            task, message = inbox[0]
+            if task is not self or message.kind is not source_kind:
+                break
+            inbox.popleft()
         if self._journal is not None:
             self._journal.maybe_snapshot(self)
         return count
@@ -718,30 +701,18 @@ class JoinerTask(Task):
         items = [first.payload]
         data_kind = MessageKind.DATA
         while len(items) < limit and inbox:
-            head = inbox[0]
             # Inline drain_key: the phase cannot change inside one
             # invocation, so same task + DATA kind + the key epoch is the
             # whole eligibility check.
-            if head.__class__ is tuple:
-                task, message = head
-                if (
-                    task is not self
-                    or message.kind is not data_kind
-                    or message.payload.epoch != key
-                ):
-                    break
-                inbox.popleft()
-                items.append(message.payload)
-            else:
-                if head.task is not self:
-                    break
-                message = head.messages[head.index]
-                if message.kind is not data_kind or message.payload.epoch != key:
-                    break
-                head.index += 1
-                if head.index == head.end:
-                    inbox.popleft()
-                items.append(message.payload)
+            task, message = inbox[0]
+            if (
+                task is not self
+                or message.kind is not data_kind
+                or message.payload.epoch != key
+            ):
+                break
+            inbox.popleft()
+            items.append(message.payload)
         journal = self._journal
         if journal is not None:
             for item in items:

@@ -17,16 +17,10 @@ from repro.engine.batching import (
     BatchController,
     FixedBatchController,
 )
-from repro.engine.executor import (
-    Executor,
-    SimulatedExecutor,
-    ThreadedExecutor,
-    ThreadedSimulator,
-)
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import LatencySample, MetricsCollector
 from repro.engine.network import Network, TrafficCategory
-from repro.engine.simulator import DeliveryRun, Simulator
+from repro.engine.simulator import Simulator
 from repro.engine.stream import ArrivalSchedule, StreamTuple, interleave_streams
 from repro.engine.task import Context, DataEnvelope, Message, MessageKind, Task
 
@@ -37,8 +31,6 @@ __all__ = [
     "Context",
     "CostModel",
     "DataEnvelope",
-    "DeliveryRun",
-    "Executor",
     "FixedBatchController",
     "LatencySample",
     "Machine",
@@ -46,12 +38,9 @@ __all__ = [
     "MessageKind",
     "MetricsCollector",
     "Network",
-    "SimulatedExecutor",
     "Simulator",
     "StreamTuple",
     "Task",
-    "ThreadedExecutor",
-    "ThreadedSimulator",
     "TrafficCategory",
     "interleave_streams",
 ]

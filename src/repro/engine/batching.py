@@ -27,11 +27,9 @@ may coalesce per invocation, given its current inbox backlog.  Controllers
 are registered in :data:`repro.api.registry.batch_controllers` (names are the
 ``RunConfig.batching`` values) so new strategies plug in like probe engines.
 
-Receiver draining governs *handler invocations*; the orthogonal wire-level
-delivery merging (``RunConfig.delivery_merging``, default on for draining
-planes) collapses the per-message *heap events* of the per-tuple wire into
-per-channel ``DeliveryRun``s — see ``repro.engine.simulator`` and the
-"wire plane" section of ARCHITECTURE.md.
+Receiver draining governs *handler invocations* only: the wire stays
+per-tuple, one heap event per send (see ``repro.engine.simulator`` and the
+"wire plane" section of ARCHITECTURE.md).
 """
 
 from __future__ import annotations

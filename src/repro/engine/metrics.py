@@ -58,14 +58,6 @@ class MetricsCollector:
     probe_work: float = 0.0
     #: Drained-run size → count (adaptive data plane only; empty otherwise).
     drain_histogram: dict[int, int] = field(default_factory=dict)
-    #: Per-link merged delivery-run length → count (wire-level delivery
-    #: merging only; empty otherwise).  Complements drain_histogram: this one
-    #: localises coalescing wins/regressions to the *wire* (sender-side run
-    #: lengths per FIFO link) versus the *receiver* (drained-run sizes).
-    #: Written inline by ``Simulator._settle`` when a run is exhausted (the
-    #: settle loop is the hottest merged-wire path, so there is no
-    #: ``record_*`` wrapper — keep any future writers consistent with it).
-    wire_histogram: dict[int, int] = field(default_factory=dict)
     #: Columnar emission storage: ``(output_time, machine_id, latency_array)``
     #: per recorded :class:`~repro.engine.columns.MatchBlock`.  Latency values
     #: are bit-identical to the scalar samples (same float64 max/subtract per

@@ -82,11 +82,8 @@ class Network:
         transfer_cost = 0.0 if local else self.cost_model.per_tuple_network_cost * size
         delivery = now + latency + transfer_cost
         link = (sender, receiver)
-        # NOTE: the monotone per-link clamp below is load-bearing beyond the
-        # epoch protocol — the wire-level delivery-merging layer
-        # (``Simulator.enable_delivery_merging``) relies on a channel's
-        # delivery times never decreasing so an open ``DeliveryRun``'s
-        # parallel arrays stay sorted for its bisect-based settling.
+        # The monotone per-link clamp keeps every link FIFO, which the
+        # epoch protocol relies on.
         delivery = max(delivery, self._last_delivery.get(link, 0.0))
         self._last_delivery[link] = delivery
         return delivery

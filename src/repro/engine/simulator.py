@@ -29,7 +29,6 @@ import heapq
 import itertools
 import random
 import time as _time
-from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Iterable
 
@@ -44,14 +43,6 @@ from repro.engine.task import Context, DataEnvelope, Message, MessageKind, Task
 PRIORITY_KINDS = frozenset(
     {MessageKind.MAPPING_CHANGE, MessageKind.MIGRATION_ACK, MessageKind.RESUME}
 )
-
-#: Kinds the wire-level delivery-merging layer may coalesce into a
-#: :class:`DeliveryRun`: every inbox-bound kind, i.e. everything except the
-#: priority control plane (which executes at delivery rather than queueing).
-#: Merging is exact — a run's members settle into the receiving inbox in
-#: per-tuple ``(time, rank)`` order — so eligibility is purely about *where*
-#: a delivery lands, not what it carries.
-MERGEABLE_KINDS = frozenset(MessageKind) - PRIORITY_KINDS
 
 # Pending events are plain ``(time, rank, target, message)`` tuples so the
 # heap compares at C speed.  A delivery carries the destination Task and its
@@ -78,68 +69,9 @@ _MACHINE_SPAN = 1 << 12  # > max machines + off-cluster sentinel
 # machine alive — and a per-simulator serial breaks remaining ties so heap
 # entries never compare the _FaultEvent payloads themselves.  The unreliable
 # wire's frame arrivals and retransmit timers ride the same band (offsets 3
-# and 4): they too land between handler events, and on the threaded executor
-# they inherit the fault plane's full-barrier treatment on the dispatch
-# frontier for free.
+# and 4): they too land between handler events.
 _FAULT_RANK_BASE = 1 << 63
 _FAULT_ACTION_OFFSETS = {"crash": 0, "restart": 1, "retry": 2, "frame": 3, "retransmit": 4}
-
-#: Heap marker distinguishing a DeliveryRun event from a plain delivery
-#: (``message`` slot) — identity-checked once per pop, like the tick's None.
-_DELIVERY_RUN = object()
-
-
-class DeliveryRun:
-    """A merged sequence of same-channel inbox deliveries — one heap event.
-
-    One run carries the open traffic of one wire channel: a (sender machine,
-    destination task) FIFO link.  It enters the global event heap once, keyed
-    by its *first* member's ``(delivery time, rank)``, and stays open — later
-    sends on the same channel (from subsequent handler invocations of the
-    sending machine) append to the parallel ``times``/``ranks``/``messages``
-    arrays, never creating another heap event.  Appends are always dated
-    beyond every settle bound the receiver has already passed (a send created
-    at virtual time ``T`` delivers no earlier than ``T`` plus the network
-    latency, and the link itself is FIFO), so the run's members still settle
-    into the receiving inbox in exact per-tuple ``(time, rank)`` order (see
-    ``Simulator._settle``).  ``start`` is the cursor of the next unsettled
-    member; when the receiver exhausts the run it is ``closed`` and the next
-    send on the channel arms a fresh one.
-    """
-
-    __slots__ = ("task", "times", "ranks", "messages", "start", "closed")
-
-    def __init__(self, task: Task, times: list, ranks: list, messages: list) -> None:
-        self.task = task
-        self.times = times
-        self.ranks = ranks
-        self.messages = messages
-        self.start = 0
-        self.closed = False
-
-
-class SettledSegment:
-    """A settled multi-member slice of a :class:`DeliveryRun` — one inbox entry.
-
-    The settle pass used to append one ``(task, message)`` tuple per member;
-    a segment instead hands the run's message list to the consumer with a
-    ``[index, end)`` cursor window — no per-member allocation on the settle
-    path.  Inbox entries are therefore either ``(task, message)`` tuples or
-    segments (``entry.__class__ is tuple`` distinguishes them); consumers
-    (the tick loop and every ``Task.handle_drained`` implementation) take the
-    member at ``index``, advance it in place, and drop the segment once
-    ``index`` reaches ``end``.  Per-tuple inbox order is preserved because
-    the settle pass cuts segments exactly at the ``(time, rank)`` boundaries
-    where per-member appends would have interleaved other deliveries.
-    """
-
-    __slots__ = ("task", "messages", "index", "end")
-
-    def __init__(self, task: Task, messages: list, index: int, end: int) -> None:
-        self.task = task
-        self.messages = messages
-        self.index = index
-        self.end = end
 
 
 class _FaultEvent:
@@ -163,22 +95,17 @@ class _WireFrame:
 
     The reliable-delivery sublayer never mutates the wrapped message (data
     envelopes are shared across fan-out destinations), so the per-link
-    sequence number, original send rank and retransmit state live on this
-    wrapper instead.  ``rank`` is the send-band rank the message was assigned
-    at its original send — the receiver releases with it, so crashed-machine
-    diversion and pending-heap ordering behave exactly as a direct delivery
-    would have.
+    sequence number and retransmit state live on this wrapper instead.
     """
 
-    __slots__ = ("link", "seq", "task", "message", "category", "rank", "units", "attempts")
+    __slots__ = ("link", "seq", "task", "message", "category", "units", "attempts")
 
-    def __init__(self, link, seq, task, message, category, rank, units) -> None:
+    def __init__(self, link, seq, task, message, category, units) -> None:
         self.link = link
         self.seq = seq
         self.task = task
         self.message = message
         self.category = category
-        self.rank = rank
         self.units = units
         self.attempts = 0
 
@@ -191,10 +118,7 @@ class Simulator:
         cost_model: the CPU/network/storage cost model shared by all machines.
         seed: seed of the simulation's random sources.  Every machine gets
             its own stream, derived deterministically from
-            ``(seed, machine_id)`` — see :meth:`machine_rng` — so a parallel
-            backend can run handlers of different machines concurrently
-            without sharing RNG state (and without changing a single draw:
-            the simulated oracle uses the same derivation).
+            ``(seed, machine_id)`` — see :meth:`machine_rng`.
         collect_outputs: if True, the metrics collector retains every output
             pair (needed for correctness tests; disabled for large benchmark
             runs to bound memory).
@@ -231,10 +155,7 @@ class Simulator:
         self._queue: list[tuple] = []
         self._schedule_rank = itertools.count()
         # Per-link FIFO sequence counters, owned by the *sender* machine
-        # (index [sender_machine + 1], keyed by destination machine id): a
-        # machine's sends touch only its own counter dict, so handlers of
-        # different machines can post concurrently without sharing counter
-        # state.  The rank formula itself is unchanged.
+        # (index [sender_machine + 1], keyed by destination machine id).
         self._link_rank: list[dict[int, int]] = [
             {} for _ in range(num_machines + 1)
         ]
@@ -246,15 +167,6 @@ class Simulator:
         # drained runs on the adaptive plane use them to stop before the
         # point where a control message would take effect (drain horizon).
         self._pending_priority: list[list[float]] = [[] for _ in range(num_machines)]
-        # Wire-level delivery merging (see enable_delivery_merging): the open
-        # channel runs, indexed [sender machine + 1] → {destination task:
-        # DeliveryRun}, and the per-machine heaps of delivered-but-unsettled
-        # run cursors / singles.
-        self._merge_wire = False
-        self._open_channels: list[dict[Task, DeliveryRun]] = [
-            {} for _ in range(num_machines + 1)
-        ]
-        self._pending_wire: list[list] = [[] for _ in range(num_machines)]
         # Fault plane (install_faults): the recovery manager, the machines
         # currently down, their buffered-during-outage deliveries, and the
         # link-layer retry state.  All empty/None on fault-free runs.
@@ -274,8 +186,7 @@ class Simulator:
         self.events_processed = 0
         self.heap_events = 0
         # Cumulative real seconds spent inside run() — the only wall-clock
-        # quantity the virtual-time backend reports (executor backends add
-        # per-worker breakdowns on top).  Pure stats: never read by handlers.
+        # quantity the simulator reports.  Pure stats: never read by handlers.
         self.wall_time = 0.0
 
     def install_batching(self, controllers: list) -> None:
@@ -292,23 +203,6 @@ class Simulator:
                 f"for {len(self.machines)} machines"
             )
         self._drain_controllers = list(controllers)
-
-    def enable_delivery_merging(self) -> None:
-        """Enable wire-level delivery merging.
-
-        Inbox-bound messages (:data:`MERGEABLE_KINDS`) merge per FIFO channel
-        — (sender machine, destination task) — into :class:`DeliveryRun` heap
-        events: a channel's run is armed in the heap at its first member and
-        absorbs every later send on the channel until the receiver exhausts
-        it, instead of one heap event per message.  A run's members are
-        *settled* into the receiving machine's inbox strictly in per-tuple
-        ``(delivery time, rank)`` order — the per-machine pending heap
-        interleaves runs, competing links and individual messages exactly as
-        the unmerged heap would — so every observable quantity stays
-        bit-identical to the unmerged wire while the global event heap
-        processes a fraction of the events.
-        """
-        self._merge_wire = True
 
     def install_faults(self, recovery) -> None:
         """Attach the fault-tolerant plane: a recovery manager plus the
@@ -373,9 +267,7 @@ class Simulator:
         Derived deterministically from ``(seed, machine_id)``; off-cluster
         tasks (``machine_id < 0``) share one dedicated stream.  Handlers
         reach it through :attr:`repro.engine.task.Context.rng`, so a task's
-        draws are a pure function of its own machine's handler sequence —
-        the property that lets a parallel backend overlap handlers of
-        different machines without perturbing anyone's stream.
+        draws are a pure function of its own machine's handler sequence.
         """
         return self._machine_rngs[machine_id + 1 if machine_id >= 0 else 0]
 
@@ -437,32 +329,6 @@ class Simulator:
         queue = self._queue
         schedule_rank = self._schedule_rank
         source_kind = MessageKind.SOURCE
-        if self._merge_wire:
-            # Merged feed: one DeliveryRun per reshuffler covers the whole
-            # schedule (members keep their exact arrival times/ranks).  The
-            # feed channels cannot have open runs mid-schedule interference
-            # (nothing settles before run()), so the runs are built with
-            # plain list appends and armed once per destination.
-            feed_channels = self._open_channels[0]
-            channel_get = feed_channels.get
-            heappush = heapq.heappush
-            queue = self._queue
-            for arrival_time, item in schedule.arrivals():
-                item.arrival_time = arrival_time
-                task = tasks[destination_picker(item)]
-                rank = next(schedule_rank)
-                envelope = DataEnvelope(source_kind, "__source__", item, 0, item.size)
-                run = channel_get(task)
-                if run is None or run.closed:
-                    run = feed_channels[task] = DeliveryRun(
-                        task, [arrival_time], [rank], [envelope]
-                    )
-                    heappush(queue, (arrival_time, rank, run, _DELIVERY_RUN))
-                else:
-                    run.times.append(arrival_time)
-                    run.ranks.append(rank)
-                    run.messages.append(envelope)
-            return
         for arrival_time, item in schedule.arrivals():
             item.arrival_time = arrival_time
             message = DataEnvelope(source_kind, "__source__", item, 0, item.size)
@@ -472,41 +338,9 @@ class Simulator:
             )
 
     def schedule_data(self, time: float, destination: str, message) -> None:
-        """Schedule a data-plane message, merging consecutive same-destination
-        sends into the feed channel's :class:`DeliveryRun` when delivery
-        merging is enabled (streaming ingestion, batched feeds).
-
-        Non-mergeable kinds and off-cluster destinations fall back to
-        :meth:`schedule`.
-        """
-        task = self.tasks.get(destination)
-        if task is None:
-            raise KeyError(f"unknown task: {destination}")
-        if (
-            not self._merge_wire
-            or task.hosted_machine is None
-            or message.kind not in MERGEABLE_KINDS
-        ):
-            self.schedule(time, destination, message)
-            return
-        self._buffer_send(
-            self._open_channels[0], task, time, next(self._schedule_rank), message
-        )
-
-    def _buffer_send(
-        self, channels: dict, task: Task, time: float, rank: int, message
-    ) -> None:
-        """Append one send to its channel's open run, arming a fresh run
-        (= one heap event, keyed by this first member) when the channel has
-        none open."""
-        run = channels.get(task)
-        if run is None or run.closed:
-            run = channels[task] = DeliveryRun(task, [time], [rank], [message])
-            heapq.heappush(self._queue, (time, rank, run, _DELIVERY_RUN))
-        else:
-            run.times.append(time)
-            run.ranks.append(rank)
-            run.messages.append(message)
+        """Schedule a data-plane message from off-cluster ingestion (batched
+        feeds, streaming pushes).  Identical to :meth:`schedule`."""
+        self.schedule(time, destination, message)
 
     def post(
         self,
@@ -517,24 +351,7 @@ class Simulator:
         ctx: Context,
     ) -> None:
         """Send a message from a task while it is processing (called via Context)."""
-        self._post_at(sender_task, destination, message, category, ctx.now + ctx.charged)
-
-    def _post_at(
-        self,
-        sender_task: Task,
-        destination: str,
-        message: Message,
-        category: TrafficCategory,
-        departure: float,
-    ) -> None:
-        """The body of :meth:`post` with the departure time made explicit.
-
-        A parallel backend buffers a concurrently-running handler's sends
-        (capturing ``ctx.now + ctx.charged`` at call time) and replays them
-        here at commit, so the network transfer, rank assignment and heap
-        push run through the identical code path — in oracle order — that a
-        live send would have taken.
-        """
+        departure = ctx.now + ctx.charged
         dest_task = self.tasks[destination]
         sender_machine = sender_task.machine_id
         dest_machine = dest_task.machine_id
@@ -555,23 +372,6 @@ class Simulator:
         if message.kind in PRIORITY_KINDS and dest_machine >= 0:
             self._pending_priority[dest_machine].append(delivery)
         rank = self._send_rank(sender_machine, dest_machine)
-        # Off-cluster endpoints are excluded from merging (as in post_fanout):
-        # their deliveries skip the link-FIFO clamp, so an open channel's key
-        # arrays could lose the sortedness _settle's bisects rely on.
-        if (
-            self._merge_wire
-            and sender_machine >= 0
-            and dest_machine >= 0
-            and message.kind in MERGEABLE_KINDS
-        ):
-            self._buffer_send(
-                self._open_channels[sender_machine + 1],
-                dest_task,
-                delivery,
-                rank,
-                message,
-            )
-            return
         heapq.heappush(self._queue, (delivery, rank, dest_task, message))
 
     def post_fanout(
@@ -589,19 +389,7 @@ class Simulator:
         with the per-send bookkeeping hoisted out of the loop.  Data plane
         only: single-tuple payloads, non-priority kinds.
         """
-        self._post_fanout_at(
-            sender_task, destinations, message, category, ctx.now + ctx.charged
-        )
-
-    def _post_fanout_at(
-        self,
-        sender_task: Task,
-        destinations,
-        message: Message,
-        category: TrafficCategory,
-        departure: float,
-    ) -> None:
-        """:meth:`post_fanout` with the departure explicit (commit replay)."""
+        departure = ctx.now + ctx.charged
         tasks = self.tasks
         transfer = self.network.transfer
         queue = self._queue
@@ -629,39 +417,6 @@ class Simulator:
                     self._wire_send(
                         sender_machine, dest_task, message, category, departure, 1
                     )
-            return
-        if self._merge_wire:
-            # One shared envelope, one open-channel append per destination;
-            # the per-link delivery times and ranks are computed exactly as
-            # below.  The channel-append bookkeeping is inlined (this is the
-            # hottest send path of the merged wire).
-            channels = self._open_channels[sender_machine + 1]
-            channel_get = channels.get
-            for destination in destinations:
-                dest_task = tasks[destination]
-                dest_machine = dest_task.machine_id
-                if sender_machine < 0 or dest_machine < 0:
-                    heappush(queue, (
-                        departure + latency,
-                        self._send_rank(sender_machine, dest_machine),
-                        dest_task,
-                        message,
-                    ))
-                    continue
-                delivery = transfer(sender_machine, dest_machine, size, category, departure)
-                sequence = link_rank.get(dest_machine, 0)
-                link_rank[dest_machine] = sequence + 1
-                rank = sender_base + (dest_machine + 2) * _LINK_SPAN + sequence
-                run = channel_get(dest_task)
-                if run is None or run.closed:
-                    run = channels[dest_task] = DeliveryRun(
-                        dest_task, [delivery], [rank], [message]
-                    )
-                    heappush(queue, (delivery, rank, run, _DELIVERY_RUN))
-                else:
-                    run.times.append(delivery)
-                    run.ranks.append(rank)
-                    run.messages.append(message)
             return
         for destination in destinations:
             dest_task = tasks[destination]
@@ -774,10 +529,8 @@ class Simulator:
     def _crash_machine(self, machine_id: int, fault, time: float) -> None:
         """Fail-stop ``machine_id``: drop its volatile state, start the outage.
 
-        The inbox (including members inside settled segments) moves to the
-        outage buffer for redelivery at restart; pending wire entries and open
-        channels stay put — the restart tick settles them — and work already
-        accepted (``busy_until``) counts as completed, per the
+        The inbox moves to the outage buffer for redelivery at restart, and
+        work already accepted (``busy_until``) counts as completed, per the
         handler-boundary crash model.
         """
         if machine_id in self._crashed:
@@ -789,12 +542,7 @@ class Simulator:
         self._crashed_count += 1
         buffer = self._outage.setdefault(machine_id, [])
         inbox = self._inboxes[machine_id]
-        for entry in inbox:
-            if entry.__class__ is tuple:
-                buffer.append(("d", entry[0], entry[1]))
-            else:
-                for index in range(entry.index, entry.end):
-                    buffer.append(("d", entry.task, entry.messages[index]))
+        buffer.extend(("d", task, message) for task, message in inbox)
         inbox.clear()
         # Suppress tick scheduling for the duration of the outage; the
         # restart pushes its own tick.
@@ -831,8 +579,8 @@ class Simulator:
                 else:
                     inbox.append((task, message))
             buffer.clear()
-        # _tick_scheduled stayed True through the outage; this tick settles
-        # any wire traffic dated <= now and restarts the normal cycle.
+        # _tick_scheduled stayed True through the outage; this tick restarts
+        # the normal cycle.
         self._schedule_tick(machine_id, time)
 
     def _retry_machine(self, machine_id: int, time: float) -> None:
@@ -842,10 +590,7 @@ class Simulator:
         attempts = self._retry_attempts.get(machine_id, 0) + 1
         self._retry_attempts[machine_id] = attempts
         recovery = self._recovery
-        waiting = bool(self._outage.get(machine_id)) or bool(
-            self._pending_wire[machine_id]
-        )
-        if attempts > recovery.max_retries and waiting:
+        if attempts > recovery.max_retries and self._outage.get(machine_id):
             raise RuntimeError(
                 f"machine {machine_id} unreachable after "
                 f"{recovery.max_retries} retries"
@@ -855,23 +600,17 @@ class Simulator:
         )
 
     def _divert_crashed(
-        self, task: Task, message: Message, time: float, rank: int, machine_id: int
+        self, task: Task, message: Message, time: float, machine_id: int
     ) -> None:
         """Buffer a delivery addressed to a crashed machine.
 
         Priority kinds wait in the outage buffer (redelivered first at
-        restart); in-band kinds keep their exact ``(time, rank)`` position —
-        on the merged wire by joining the pending heap next to any parked
-        runs, on the unmerged wire by outage-buffer order, which *is* global
-        ``(time, rank)`` pop order.
+        restart); in-band kinds keep their exact ``(time, rank)`` position,
+        because outage-buffer order *is* global ``(time, rank)`` pop order.
         """
         if message.kind in PRIORITY_KINDS:
             self._pending_priority[machine_id].remove(time)
             self._outage[machine_id].append(("p", task, message))
-        elif self._merge_wire:
-            heapq.heappush(
-                self._pending_wire[machine_id], (time, rank, None, task, message)
-            )
         else:
             self._outage[machine_id].append(("d", task, message))
 
@@ -888,9 +627,7 @@ class Simulator:
     ) -> None:
         """Frame one on-cluster send and push it through the fault schedule.
 
-        The frame gets the link's next monotone sequence number and the
-        message's normal send-band rank (so its eventual release orders like
-        a direct delivery).  A dropped or partitioned frame never charges the
+        The frame gets the link's next monotone sequence number.  A dropped or partitioned frame never charges the
         network — its bytes were lost before crossing — and instead arms the
         sender's retransmit timer.  A duplicated frame is charged and
         scheduled twice with the *same* frame object: the receiver dedups on
@@ -900,8 +637,7 @@ class Simulator:
         dest_machine = dest_task.machine_id
         link = (sender_machine, dest_machine)
         seq, dropped, duplicated, delay_by = wire.on_send(link)
-        rank = self._send_rank(sender_machine, dest_machine)
-        frame = _WireFrame(link, seq, dest_task, message, category, rank, units)
+        frame = _WireFrame(link, seq, dest_task, message, category, units)
         wire.frames_sent += 1
         if dropped or wire.partitioned(sender_machine, dest_machine, departure):
             wire.frames_dropped += 1
@@ -1015,16 +751,16 @@ class Simulator:
         message = frame.message
         if message.kind in PRIORITY_KINDS:
             self._pending_priority[frame.link[1]].append(time)
-        self._deliver(frame.task, message, time, frame.rank)
+        self._deliver(frame.task, message, time)
 
-    def _deliver(self, task: Task, message: Message, time: float, rank: int = 0) -> None:
+    def _deliver(self, task: Task, message: Message, time: float) -> None:
         machine = task.hosted_machine
         if machine is None:
             # Off-cluster tasks are handled at delivery time.
             self._execute(task, message, time)
             return
         if self._crashed_count and machine.machine_id in self._crashed:
-            self._divert_crashed(task, message, time, rank, machine.machine_id)
+            self._divert_crashed(task, message, time, machine.machine_id)
             return
         if message.kind in PRIORITY_KINDS:
             # Control-plane messages skip the data backlog but still need the
@@ -1035,155 +771,32 @@ class Simulator:
             self._execute(task, message, machine.priority_start(time))
             return
         machine_id = machine.machine_id
-        if self._merge_wire:
-            pending = self._pending_wire[machine_id]
-            if pending:
-                # Unsettled run members exist for this machine; enqueue the
-                # single behind/between them by its own (time, rank) key so
-                # the settle pass reproduces the per-tuple inbox order.
-                heapq.heappush(pending, (time, rank, None, task, message))
-                if not self._tick_scheduled[machine_id]:
-                    self._tick_scheduled[machine_id] = True
-                    self._schedule_tick(machine_id, max(time, machine.busy_until))
-                return
         inbox = self._inboxes[machine_id]
         inbox.append((task, message))
         if not self._tick_scheduled[machine_id]:
             self._tick_scheduled[machine_id] = True
             self._schedule_tick(machine_id, max(time, machine.busy_until))
 
-    def _deliver_run(self, run: DeliveryRun, time: float) -> None:
-        """A :class:`DeliveryRun` popped: park it on the receiver's pending heap.
-
-        Members do not enter the inbox yet — they *settle* in exact
-        ``(time, rank)`` order when the machine next ticks — so the run pop is
-        O(1) regardless of length.  Tick scheduling mirrors what the first
-        member's individual delivery would have done.
-        """
-        machine = run.task.hosted_machine
-        machine_id = machine.machine_id
-        heapq.heappush(
-            self._pending_wire[machine_id], (time, run.ranks[run.start], run)
-        )
-        if not self._tick_scheduled[machine_id]:
-            self._tick_scheduled[machine_id] = True
-            self._schedule_tick(machine_id, max(time, machine.busy_until))
-
-    def _settle(self, machine_id: int, time: float) -> None:
-        """Move pending wire deliveries dated ``<= time`` into the inbox.
-
-        Called at the start of a tick popped at ``time``: on the per-tuple
-        wire, exactly the deliveries with ``(delivery, rank) < (time,
-        tick rank)`` would have been appended before this tick — and message
-        ranks are always below the tick band, so the bound reduces to the
-        delivery time.  Members are drained in global ``(time, rank)`` order
-        across runs, competing links and singles (the pending heap is the
-        per-machine merge front), reproducing the unmerged inbox exactly.
-        """
-        pending = self._pending_wire[machine_id]
-        inbox = self._inboxes[machine_id]
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        wire_histogram = self.metrics.wire_histogram
-        while pending and pending[0][0] <= time:
-            entry = heappop(pending)
-            run = entry[2]
-            if run is None:
-                inbox.append((entry[3], entry[4]))
-                continue
-            times = run.times
-            task = run.task
-            index = run.start
-            count = len(times)
-            # Settle-bound cut: members dated <= the tick time.  Within a run
-            # both times and ranks are strictly increasing, so the segment
-            # boundaries are binary searches instead of per-member compares.
-            end = bisect_right(times, time, index, count)
-            if pending:
-                # A competing pending delivery may cut the segment short: only
-                # members strictly below the head's (time, rank) key settle now.
-                head = pending[0]
-                head_time = head[0]
-                if head_time <= time:
-                    below = bisect_left(times, head_time, index, end)
-                    ties_end = bisect_right(times, head_time, below, end)
-                    end = (
-                        bisect_left(run.ranks, head[1], below, ties_end)
-                        if ties_end > below
-                        else below
-                    )
-            # The popped entry was the pending minimum and is inside the
-            # bound, so at least one member always settles (progress).
-            if end - index == 1:
-                inbox.append((task, run.messages[index]))
-            else:
-                inbox.append(SettledSegment(task, run.messages, index, end))
-            if end < count:
-                run.start = end
-                heappush(pending, (times[end], run.ranks[end], run))
-            else:
-                # Exhausted: close the channel's run (the next send on the
-                # channel arms a fresh one) and record its final length.
-                run.start = end
-                run.closed = True
-                wire_histogram[count] = wire_histogram.get(count, 0) + 1
-
-    def _rearm_wire(self, machine_id: int) -> None:
-        """Return the earliest pending wire delivery to the global heap.
-
-        Reached when a tick leaves the inbox empty while future-dated members
-        remain pending: their runs already left the heap, so nothing else
-        would wake the machine.  The re-armed entry pops at its own key and
-        re-enters the normal delivery path (scheduling the wake-up tick at
-        ``max(time, busy_until)`` exactly as its individual delivery would).
-        """
-        entry = heapq.heappop(self._pending_wire[machine_id])
-        run = entry[2]
-        if run is None:
-            heapq.heappush(self._queue, (entry[0], entry[1], entry[3], entry[4]))
-        else:
-            heapq.heappush(self._queue, (entry[0], entry[1], run, _DELIVERY_RUN))
-
     def _tick(self, machine_id: int, time: float) -> None:
         if self._crashed_count and machine_id in self._crashed:
             # Stale tick popping during an outage: swallow it and leave
             # _tick_scheduled True — the restart pushes the reviving tick.
             return
-        merging = self._merge_wire
-        if merging and self._pending_wire[machine_id]:
-            self._settle(machine_id, time)
         inbox = self._inboxes[machine_id]
         if not inbox:
-            if merging and self._pending_wire[machine_id]:
-                self._rearm_wire(machine_id)
             self._tick_scheduled[machine_id] = False
             return
         machine = self.machines[machine_id]
         start = max(time, machine.busy_until)
+        task, message = inbox.popleft()
         if self._drain_controllers is not None:
-            entry = inbox.popleft()
-            if entry.__class__ is tuple:
-                task, message = entry
-            else:
-                task = entry.task
-                message = entry.messages[entry.index]
-                entry.index += 1
-                if entry.index < entry.end:
-                    inbox.appendleft(entry)
             key = task.drain_key(message)
             if key is None:
                 self._execute(task, message, start)
             else:
-                # Backlog estimate for the drain controller: the exact member
-                # count of the inbox, counting every member still inside a
-                # settled segment — identical to the unmerged plane's
-                # per-member inbox length.
-                backlog = 1 + len(inbox)
-                if merging:
-                    for pending_entry in inbox:
-                        if pending_entry.__class__ is not tuple:
-                            backlog += pending_entry.end - pending_entry.index - 1
-                limit = self._drain_controllers[machine_id].next_batch_size(backlog)
+                # Backlog estimate for the drain controller: the inbox length
+                # including the message just popped.
+                limit = self._drain_controllers[machine_id].next_batch_size(1 + len(inbox))
                 if limit > 1 and inbox:
                     self._execute_drained(
                         task, message, inbox, limit, key, start, time, machine_id
@@ -1192,21 +805,10 @@ class Simulator:
                     self.metrics.record_drained_run(1)
                     self._execute(task, message, start)
         else:
-            entry = inbox.popleft()
-            if entry.__class__ is tuple:
-                task, message = entry
-            else:
-                task = entry.task
-                message = entry.messages[entry.index]
-                entry.index += 1
-                if entry.index < entry.end:
-                    inbox.appendleft(entry)
             self._execute(task, message, start)
         if inbox:
             self._schedule_tick(machine_id, max(machine.busy_until, start))
         else:
-            if merging and self._pending_wire[machine_id]:
-                self._rearm_wire(machine_id)
             self._tick_scheduled[machine_id] = False
 
     def run(self, max_events: int | None = None) -> float:
@@ -1221,18 +823,16 @@ class Simulator:
         wall_start = _time.perf_counter()
         try:
             while queue:
-                time, rank, target, message = heapq.heappop(queue)
+                time, _rank, target, message = heapq.heappop(queue)
                 heap_events += 1
                 if time > self.now:
                     self.now = time
                 if message is None:
                     self._tick(target, time)
-                elif message is _DELIVERY_RUN:
-                    self._deliver_run(target, time)
                 elif message.__class__ is _FaultEvent:
                     self._process_fault(target, message, time)
                 else:
-                    self._deliver(target, message, time, rank)
+                    self._deliver(target, message, time)
                 if after_faults and self.events_processed >= after_faults[0][0]:
                     while after_faults and self.events_processed >= after_faults[0][0]:
                         fault = after_faults.pop(0)[1]

@@ -141,9 +141,7 @@ class Context:
 
         Streams are derived from ``(seed, machine_id)`` (see
         :meth:`repro.engine.simulator.Simulator.machine_rng`), so a task's
-        draws depend only on its own machine's handler sequence — never on
-        how handler executions of *other* machines interleave, which is what
-        lets the threaded executor overlap handlers across workers.
+        draws depend only on its own machine's handler sequence.
         """
         return self._simulator.machine_rng(self._task.machine_id)
 
@@ -240,18 +238,7 @@ class Task:
         name: globally unique task name.
         machine_id: machine hosting the task (``-1`` for off-cluster tasks
             such as sources and collectors, which are not charged CPU time).
-        reads_global_state: class flag a task sets when its handlers read
-            cluster-wide state mid-handler (e.g. the migration controller
-            sampling ``ctx.cluster_peak_stored()`` and run-wide metrics).
-            Parallel backends treat such handlers as *barriers* — every
-            in-flight handler is committed before one runs, and it runs with
-            direct (unbuffered) simulator access — because the values it
-            reads depend on all prior handlers' effects being applied.
-            Machine-local handlers (the default) may overlap freely.
     """
-
-    #: See the class docstring; the conservative default is machine-local.
-    reads_global_state = False
 
     def __init__(self, name: str, machine_id: int = -1) -> None:
         self.name = name
@@ -286,9 +273,7 @@ class Task:
         so per-member charges land on the machine's busy chain exactly as
         per-tuple handling would, MUST only pull inbox heads belonging to
         this task whose :meth:`drain_key` equals ``key``, and return the
-        member count.  Inbox entries are either ``(task, message)`` tuples or
-        ``SettledSegment`` cursor windows over a merged delivery run (see the
-        simulator module); implementations must consume both shapes.  The
+        member count.  Inbox entries are ``(task, message)`` tuples.  The
         default processes members through :meth:`handle` one by one —
         bit-identical to per-tuple delivery, saving only simulator events;
         subclasses may batch the member work itself (see ``JoinerTask``) or
@@ -299,21 +284,10 @@ class Task:
         ctx.boundary()
         count = 1
         while count < limit and inbox:
-            head = inbox[0]
-            if head.__class__ is tuple:
-                task, message = head
-                if task is not self or self.drain_key(message) != key:
-                    break
-                inbox.popleft()
-            else:
-                if head.task is not self:
-                    break
-                message = head.messages[head.index]
-                if self.drain_key(message) != key:
-                    break
-                head.index += 1
-                if head.index == head.end:
-                    inbox.popleft()
+            task, message = inbox[0]
+            if task is not self or self.drain_key(message) != key:
+                break
+            inbox.popleft()
             self.handle(message, ctx)
             ctx.boundary()
             count += 1

@@ -31,6 +31,7 @@ from repro.joins.predicates import (
     EquiPredicate,
     JoinPredicate,
     ThetaPredicate,
+    UnsupportedKeyError,
 )
 from repro.joins.ripple import RippleJoiner
 
@@ -48,6 +49,7 @@ __all__ = [
     "SortedBandJoiner",
     "SymmetricHashJoiner",
     "ThetaPredicate",
+    "UnsupportedKeyError",
     "make_index",
     "make_local_joiner",
 ]

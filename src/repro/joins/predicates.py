@@ -22,10 +22,37 @@ A predicate therefore exposes three things:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 Record = dict[str, Any]
+
+
+class UnsupportedKeyError(ValueError):
+    """An input record's join key lies outside its predicate's key domain.
+
+    Band predicates need totally ordered real keys: the ordered indexes
+    bisect on them, and NaN or ``None`` would corrupt that order and lose
+    matches silently.  Raised at ingestion, before the record is fed.
+    """
+
+    def __init__(self, relation: str, attribute: str, record: Any) -> None:
+        self.relation = relation
+        self.attribute = attribute
+        self.record = record
+        super().__init__(
+            f"unsupported band key in relation {relation!r}, attribute "
+            f"{attribute!r}: {record!r} (band keys must be real numbers, not NaN)"
+        )
+
+
+def _is_real_key(key: Any) -> bool:
+    """Whether ``key`` is a real number other than NaN."""
+    if key.__class__ is int or key.__class__ is float:
+        return key == key  # False only for NaN
+    return isinstance(key, numbers.Real) and not math.isnan(key)
 
 
 class JoinPredicate:
@@ -92,6 +119,15 @@ class JoinPredicate:
     def describe(self) -> str:
         """Human-readable description used in reports."""
         return type(self).__name__
+
+    def check_keys(self, items: Iterable[Any], left_relation: str) -> None:
+        """Reject stream tuples whose keys this predicate cannot join.
+
+        ``items`` are :class:`~repro.engine.stream.StreamTuple`\\ s; those of
+        ``left_relation`` are checked as left records, all others as right
+        records.  Raises :class:`UnsupportedKeyError`.  Only band predicates
+        restrict their keys; the default accepts everything.
+        """
 
 
 @dataclass
@@ -168,6 +204,14 @@ class BandPredicate(JoinPredicate):
 
     def describe(self) -> str:
         return f"|{self.left_attr} - {self.right_attr}| <= {self.width}"
+
+    def check_keys(self, items: Iterable[Any], left_relation: str) -> None:
+        left_attr = self.left_attr
+        right_attr = self.right_attr
+        for item in items:
+            attribute = left_attr if item.relation == left_relation else right_attr
+            if not _is_real_key(item.record.get(attribute)):
+                raise UnsupportedKeyError(item.relation, attribute, item.record)
 
 
 @dataclass
@@ -264,6 +308,9 @@ class CompositePredicate(JoinPredicate):
 
     def right_key(self, right: Record) -> Any:
         return self.primary.right_key(right)
+
+    def check_keys(self, items: Iterable[Any], left_relation: str) -> None:
+        self.primary.check_keys(items, left_relation)
 
     def describe(self) -> str:
         if self.name:

@@ -13,17 +13,6 @@ write-behind, like a group-committed log — and are force-flushed at every
 snapshot and at crash time, so the on-disk journal is always complete before
 recovery reads it.
 
-Threading model: the threaded executor journals from its worker threads
-(handlers run machine-locally on the worker that owns the machine), so the
-store cannot be bound to the thread that created it.  Every thread gets its
-own SQLite connection on first use (``sqlite3`` connections are
-thread-bound by default), all configured identically — WAL readers and
-writers on the same file compose — and one store-wide lock serialises the
-buffer/counter bookkeeping and each database transaction.  The lock is
-coarse but uncontended in practice: the dispatch gate never lets two
-handlers of the same machine overlap, and cross-machine journal writes are
-short appends.
-
 Journaling charges **zero virtual time** and touches neither the event heap
 nor the rng, so a fault-free run with checkpointing enabled is bit-identical
 to the same run without it (pinned in ``tests/test_fault_recovery.py``).
@@ -46,7 +35,6 @@ import os
 import pickle
 import sqlite3
 import tempfile
-import threading
 import zlib
 from typing import Any
 
@@ -68,9 +56,6 @@ class CheckpointCorruptionError(RuntimeError):
 class CheckpointStore:
     """Snapshot + delta journal for every task of one run.
 
-    Safe to call from any thread; see the module docstring for the
-    connection-per-thread model.
-
     Args:
         path: SQLite database file.  ``None`` creates a temp file that is
             deleted on :meth:`close`.
@@ -87,10 +72,11 @@ class CheckpointStore:
             self._owns_file = False
         self.path = path
         self.flush_every = max(1, int(flush_every))
-        self._lock = threading.Lock()
-        self._local = threading.local()
-        self._connections: list[sqlite3.Connection] = []
-        conn = self._connection()
+        # WAL, a group-commit-friendly sync level, and a busy timeout.
+        conn = self._conn = sqlite3.connect(self.path)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute("PRAGMA busy_timeout=10000")
         conn.execute(
             "CREATE TABLE IF NOT EXISTS snapshots ("
             " task TEXT NOT NULL, seq INTEGER NOT NULL, payload BLOB NOT NULL,"
@@ -110,46 +96,23 @@ class CheckpointStore:
         self.snapshots_taken = 0
         self._closed = False
 
-    def _connection(self) -> sqlite3.Connection:
-        """The calling thread's connection, created and configured on first
-        use (WAL, group-commit-friendly sync level, and a busy timeout as a
-        belt-and-braces guard — the store lock already serialises writes).
-
-        Called with the store lock held (every journaling/recovery entry
-        point takes it), so it must not re-acquire it; the bare
-        ``list.append`` registration is atomic under the GIL either way.
-        """
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            # check_same_thread=False lets close() (and crash-path flushes)
-            # run from a thread other than the opener; every statement still
-            # executes under the store lock, never concurrently.
-            conn = sqlite3.connect(self.path, check_same_thread=False)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=10000")
-            self._local.conn = conn
-            self._connections.append(conn)
-        return conn
-
     # ------------------------------------------------------------- journaling
 
     def log(self, task: str, entry: Any) -> int:
         """Append one delta entry for ``task``; returns the number of deltas
         logged since that task's last snapshot."""
         payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            seq = self._next_seq.get(task, 0)
-            self._next_seq[task] = seq + 1
-            buffer = self._buffers.setdefault(task, [])
-            buffer.append((task, seq, payload, zlib.crc32(payload)))
-            if len(buffer) >= self.flush_every:
-                self._flush_task_locked(task)
-            self.bytes_written += len(payload)
-            self.delta_entries += 1
-            count = self._since_snapshot.get(task, 0) + 1
-            self._since_snapshot[task] = count
-            return count
+        seq = self._next_seq.get(task, 0)
+        self._next_seq[task] = seq + 1
+        buffer = self._buffers.setdefault(task, [])
+        buffer.append((task, seq, payload, zlib.crc32(payload)))
+        if len(buffer) >= self.flush_every:
+            self._flush_task(task)
+        self.bytes_written += len(payload)
+        self.delta_entries += 1
+        count = self._since_snapshot.get(task, 0) + 1
+        self._since_snapshot[task] = count
+        return count
 
     def snapshot(self, task: str, state: Any) -> None:
         """Write a full state snapshot for ``task`` and prune its journal.
@@ -161,35 +124,33 @@ class CheckpointStore:
         garbage.
         """
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            self._flush_task_locked(task)
-            seq = self._next_seq.get(task, 0)
-            conn = self._connection()
-            conn.execute(
-                "INSERT OR REPLACE INTO snapshots (task, seq, payload, checksum)"
-                " VALUES (?, ?, ?, ?)",
-                (task, seq, payload, zlib.crc32(payload)),
-            )
-            conn.execute(
-                "DELETE FROM snapshots WHERE task = ? AND seq NOT IN ("
-                " SELECT seq FROM snapshots WHERE task = ?"
-                " ORDER BY seq DESC LIMIT 2)",
-                (task, task),
-            )
-            conn.execute(
-                "DELETE FROM deltas WHERE task = ? AND seq < ("
-                " SELECT MIN(seq) FROM snapshots WHERE task = ?)",
-                (task, task),
-            )
-            conn.commit()
-            self.bytes_written += len(payload)
-            self.snapshots_taken += 1
-            self._since_snapshot[task] = 0
+        self._flush_task(task)
+        seq = self._next_seq.get(task, 0)
+        conn = self._conn
+        conn.execute(
+            "INSERT OR REPLACE INTO snapshots (task, seq, payload, checksum)"
+            " VALUES (?, ?, ?, ?)",
+            (task, seq, payload, zlib.crc32(payload)),
+        )
+        conn.execute(
+            "DELETE FROM snapshots WHERE task = ? AND seq NOT IN ("
+            " SELECT seq FROM snapshots WHERE task = ?"
+            " ORDER BY seq DESC LIMIT 2)",
+            (task, task),
+        )
+        conn.execute(
+            "DELETE FROM deltas WHERE task = ? AND seq < ("
+            " SELECT MIN(seq) FROM snapshots WHERE task = ?)",
+            (task, task),
+        )
+        conn.commit()
+        self.bytes_written += len(payload)
+        self.snapshots_taken += 1
+        self._since_snapshot[task] = 0
 
     def delta_count(self, task: str) -> int:
         """Deltas logged for ``task`` since its last snapshot."""
-        with self._lock:
-            return self._since_snapshot.get(task, 0)
+        return self._since_snapshot.get(task, 0)
 
     # --------------------------------------------------------------- recovery
 
@@ -202,68 +163,67 @@ class CheckpointStore:
         that cannot be masked — no intact snapshot left, or a corrupt delta
         with intact rows after it — raises :class:`CheckpointCorruptionError`.
         """
-        with self._lock:
-            self._flush_task_locked(task)
-            conn = self._connection()
-            snapshot = None
-            snapshot_seq = 0
-            snapshot_rows = conn.execute(
-                "SELECT seq, payload, checksum FROM snapshots WHERE task = ?"
-                " ORDER BY seq DESC",
-                (task,),
-            ).fetchall()
-            for seq, payload, checksum in snapshot_rows:
-                if zlib.crc32(payload) != checksum:
-                    continue
+        self._flush_task(task)
+        conn = self._conn
+        snapshot = None
+        snapshot_seq = 0
+        snapshot_rows = conn.execute(
+            "SELECT seq, payload, checksum FROM snapshots WHERE task = ?"
+            " ORDER BY seq DESC",
+            (task,),
+        ).fetchall()
+        for seq, payload, checksum in snapshot_rows:
+            if zlib.crc32(payload) != checksum:
+                continue
+            try:
+                snapshot = pickle.loads(payload)
+            except Exception:
+                continue
+            snapshot_seq = seq
+            break
+        else:
+            if snapshot_rows:
+                raise CheckpointCorruptionError(
+                    task, f"all {len(snapshot_rows)} stored snapshot(s) failed "
+                    "their checksum"
+                )
+        delta_rows = conn.execute(
+            "SELECT seq, payload, checksum FROM deltas WHERE task = ?"
+            " AND seq >= ? ORDER BY seq",
+            (task, snapshot_seq),
+        ).fetchall()
+        deltas = []
+        for index, (seq, payload, checksum) in enumerate(delta_rows):
+            intact = zlib.crc32(payload) == checksum
+            if intact:
                 try:
-                    snapshot = pickle.loads(payload)
-                except Exception:
+                    deltas.append(pickle.loads(payload))
                     continue
-                snapshot_seq = seq
-                break
-            else:
-                if snapshot_rows:
+                except Exception:
+                    intact = False
+            if not intact:
+                tail = delta_rows[index + 1:]
+                if any(
+                    zlib.crc32(later_payload) == later_checksum
+                    for _seq, later_payload, later_checksum in tail
+                ):
                     raise CheckpointCorruptionError(
-                        task, f"all {len(snapshot_rows)} stored snapshot(s) failed "
-                        "their checksum"
+                        task,
+                        f"delta seq {seq} failed its checksum with intact "
+                        "entries after it (not a torn tail)",
                     )
-            delta_rows = conn.execute(
-                "SELECT seq, payload, checksum FROM deltas WHERE task = ?"
-                " AND seq >= ? ORDER BY seq",
-                (task, snapshot_seq),
-            ).fetchall()
-            deltas = []
-            for index, (seq, payload, checksum) in enumerate(delta_rows):
-                intact = zlib.crc32(payload) == checksum
-                if intact:
-                    try:
-                        deltas.append(pickle.loads(payload))
-                        continue
-                    except Exception:
-                        intact = False
-                if not intact:
-                    tail = delta_rows[index + 1:]
-                    if any(
-                        zlib.crc32(later_payload) == later_checksum
-                        for _seq, later_payload, later_checksum in tail
-                    ):
-                        raise CheckpointCorruptionError(
-                            task,
-                            f"delta seq {seq} failed its checksum with intact "
-                            "entries after it (not a torn tail)",
-                        )
-                    # Torn tail: the corrupt row and everything after it were
-                    # never durably applied; replay stops here.
-                    break
-            return snapshot, deltas
+                # Torn tail: the corrupt row and everything after it were
+                # never durably applied; replay stops here.
+                break
+        return snapshot, deltas
 
     # --------------------------------------------------------------- plumbing
 
-    def _flush_task_locked(self, task: str) -> None:
-        """Flush one task's buffer; the caller holds the store lock."""
+    def _flush_task(self, task: str) -> None:
+        """Flush one task's buffered deltas to the database."""
         buffer = self._buffers.pop(task, None)
         if buffer:
-            conn = self._connection()
+            conn = self._conn
             conn.executemany(
                 "INSERT INTO deltas (task, seq, payload, checksum)"
                 " VALUES (?, ?, ?, ?)",
@@ -273,29 +233,16 @@ class CheckpointStore:
 
     def flush(self) -> None:
         """Force every buffered delta to the database (pre-recovery barrier)."""
-        with self._lock:
-            for task in list(self._buffers):
-                self._flush_task_locked(task)
+        for task in list(self._buffers):
+            self._flush_task(task)
 
     def close(self) -> None:
-        """Close every thread's connection and remove the backing temp file.
-
-        Connections opened by worker threads are closed here from the
-        closing thread (they are opened with ``check_same_thread=False``);
-        by close time the worker fleet has been joined, so none is in use.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            connections = self._connections
-            self._connections = []
+        """Close the connection and remove the backing temp file."""
+        if self._closed:
+            return
+        self._closed = True
         try:
-            for conn in connections:
-                try:
-                    conn.close()
-                except sqlite3.Error:  # pragma: no cover - best-effort close
-                    pass
+            self._conn.close()
         finally:
             if self._owns_file:
                 for suffix in ("", "-wal", "-shm"):

@@ -1,14 +1,19 @@
 """Differential-testing helpers for operator runs.
 
 The repository leans on differential testing throughout: the scalar probe
-engine is the oracle for the vectorized one, the per-tuple data plane is the
-oracle for the adaptive one, and the simulated executor is the oracle for the
-threaded one.  :func:`assert_run_equivalent` is the shared assertion those
-suites (and third-party backends registered through :mod:`repro.api`) compare
-:class:`~repro.core.results.RunResult`\\ s with.
+engine is the oracle for the vectorized one, and the per-tuple data plane is
+the oracle for the adaptive one.  :func:`assert_run_equivalent` is the shared
+assertion those suites (and third-party backends registered through
+:mod:`repro.api`) compare :class:`~repro.core.results.RunResult`\\ s with.
+:func:`assert_exact_join` checks one run against the nested-loop reference
+join, pair by pair.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+
+from repro.joins.predicates import cross_join_reference
 
 #: Timing fields the ``timing=False`` coarse switch skips as a group.
 TIMING_FIELDS = frozenset(
@@ -24,7 +29,7 @@ TIMING_FIELDS = frozenset(
 )
 
 #: Event-plumbing fields gated behind ``events=True``.
-EVENT_FIELDS = frozenset({"heap_events", "wire_histogram"})
+EVENT_FIELDS = frozenset({"heap_events"})
 
 #: Traffic fields the ``network=False`` coarse switch skips as a group.
 #: Includes the reliable-wire degradation counters: two runs under the same
@@ -75,22 +80,21 @@ def assert_run_equivalent(
     work, peak ILF, the spill flag and the migration decision/completion
     times.  Use it when the two runs are meant to be *bit-identical*
     simulations (probe-engine pairs at one batch size, adaptive vs per-tuple
-    plane, threaded vs simulated executor); drop it when only the results
+    plane); drop it when only the results
     must agree (fixed-plane runs across batch sizes, where virtual-time
     compression legitimately shifts the epoch edge).
 
     ``network=True`` pins the traffic volumes per category.
 
     ``events=True`` additionally pins the *event plumbing*: global heap
-    events and the per-link wire-merge histogram.  Same-plane comparisons
-    only (e.g. probe-engine pairs on one data plane) — comparing across
-    planes (merged vs unmerged wire, batched vs per-tuple) legitimately
-    changes both.
+    events.  Same-plane comparisons only (e.g. probe-engine pairs on one
+    data plane) — comparing across planes (batched vs per-tuple, adaptive
+    vs fixed) legitimately changes them.
 
     ``ignore=`` names individual fields to skip, for comparisons that are
-    exact *except* for a known, bounded delta — e.g. a cross-executor suite
-    excluding wall-clock-adjacent fields while keeping everything else
-    strict.  Names must come from :data:`IGNORABLE_FIELDS`; unknown names
+    exact *except* for a known, bounded delta — e.g. a faulty run against
+    its fault-free twin skipping the traffic its retransmits inflate while
+    keeping everything else strict.  Names must come from :data:`IGNORABLE_FIELDS`; unknown names
     raise ``ValueError`` so a typo cannot silently weaken a suite, and the
     semantic baseline is not ignorable at all.  The coarse ``timing`` /
     ``network`` / ``events`` switches compose with ``ignore`` (each switch is
@@ -156,12 +160,6 @@ def assert_run_equivalent(
     check("spilled", result_a.spilled, result_b.spilled, "spill flag")
     check("heap_events", result_a.heap_events, result_b.heap_events, "heap_events")
     check(
-        "wire_histogram",
-        result_a.wire_histogram,
-        result_b.wire_histogram,
-        "wire_histogram",
-    )
-    check(
         "routing_volume",
         result_a.routing_volume,
         result_b.routing_volume,
@@ -215,3 +213,39 @@ def assert_run_equivalent(
         result_b.wire_counters,
         "wire_counters",
     )
+
+
+def assert_exact_join(result, query, left, right, label=""):
+    """Assert ``result`` produced exactly the θ-join of ``left`` and ``right``.
+
+    ``left`` / ``right`` are the :class:`~repro.engine.stream.StreamTuple`
+    lists the run was fed (the run must have collected its outputs).  The
+    run's output pairs, mapped to (left record index, right record index),
+    must equal :func:`~repro.joins.predicates.cross_join_reference` over the
+    same records under ``query.predicate`` *as a multiset* — so a lost pair,
+    a spurious pair and a duplicate all fail, even when the counts balance.
+    """
+    prefix = f"{label}: " if label else ""
+    assert result.outputs is not None, f"{prefix}run without collect_outputs=True"
+    left_index = {item.tuple_id: index for index, item in enumerate(left)}
+    right_index = {item.tuple_id: index for index, item in enumerate(right)}
+    produced = Counter(
+        (left_index.get(left_id), right_index.get(right_id))
+        for left_id, right_id in result.outputs
+    )
+    expected = Counter(
+        cross_join_reference(
+            [item.record for item in left],
+            [item.record for item in right],
+            query.predicate,
+        )
+    )
+    missing = expected - produced
+    extra = produced - expected
+    assert not missing and not extra, (
+        f"{prefix}join output differs from the reference: "
+        f"{sum(missing.values())} pair(s) missing (e.g. {sorted(missing)[:3]}), "
+        f"{sum(extra.values())} extra or duplicated "
+        f"(e.g. {sorted(extra, key=repr)[:3]})"
+    )
+    assert result.output_count == len(result.outputs), f"{prefix}output_count"

@@ -40,14 +40,13 @@ from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import JoinQuery, make_query
 from repro.engine.batching import AdaptiveBatchController
 from repro.engine.columns import HAS_NUMPY
-from repro.engine.simulator import Simulator
 from repro.engine.stream import (
     StreamTuple,
     fluctuating_order,
     interleave_streams,
     make_tuples,
 )
-from repro.engine.task import DataEnvelope, Message, MessageKind, Task
+from repro.engine.task import Message, MessageKind
 from repro.joins.predicates import BandPredicate, CompositePredicate, EquiPredicate
 
 MACHINES = 8
@@ -395,210 +394,6 @@ def normal_joiner(queries):
 
 
 # ---------------------------------------------------------------------------
-# Wire-level delivery merging: exactness of the merged wire
-# ---------------------------------------------------------------------------
-
-
-class TestDeliveryMergingConformance:
-    """The merged wire must be invisible in every observable quantity."""
-
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
-    def test_merged_equals_unmerged_adaptive(self, queries, predicate):
-        query = queries[predicate]
-        order = _arrival_order(query)
-        merged = _run(AdaptiveJoinOperator, query, order, batching="adaptive")
-        unmerged = _run(
-            AdaptiveJoinOperator, query, order,
-            batching="adaptive", delivery_merging=False,
-        )
-        assert_run_equivalent(merged, unmerged, label=f"merge/{predicate}")
-        # The merged wire must actually collapse heap traffic, not pass
-        # trivially: under the bursty backlog the channel runs absorb the
-        # per-tuple deliveries (the tentpole's >=2x gate runs at benchmark
-        # scale in bench_fig7a_throughput.py).
-        assert merged.heap_events * 2 < unmerged.heap_events, (
-            merged.heap_events, unmerged.heap_events,
-        )
-        assert merged.delivery_merging and not unmerged.delivery_merging
-        assert merged.wire_histogram and unmerged.wire_histogram is None
-        assert max(merged.wire_histogram) > 8  # multi-member runs exist
-
-    def test_merging_on_the_per_tuple_fixed_plane(self, queries):
-        """The merge layer is plane-agnostic: enabled on the per-tuple fixed
-        plane (no drain controllers at all) it must still be bit-identical."""
-        query = queries["equi"]
-        order = _arrival_order(query)
-        reference = _run(StaticMidOperator, query, order, batch_size=1)
-        merged = _run(
-            StaticMidOperator, query, order, batch_size=1, delivery_merging=True
-        )
-        assert_run_equivalent(reference, merged, label="fixed-plane merge")
-        assert merged.heap_events < reference.heap_events
-
-    def test_delivery_merging_validation(self):
-        with pytest.raises(ValueError, match="delivery_merging"):
-            RunConfig(delivery_merging="yes")
-        assert RunConfig(delivery_merging=True).delivery_merging is True
-        assert RunConfig(batching="adaptive").delivery_merging is None
-
-    def test_default_resolution_per_plane(self, queries):
-        query = queries["equi"]
-        adaptive = AdaptiveJoinOperator(query, config=_config(batching="adaptive"))
-        fixed = AdaptiveJoinOperator(query, config=_config(batch_size=1))
-        assert adaptive.delivery_merging is True  # draining planes default on
-        assert fixed.delivery_merging is False  # reference wire stays unmerged
-
-    @given(chunks=st.lists(st.integers(1, 60), min_size=1, max_size=30))
-    @settings(max_examples=10, deadline=None)
-    def test_any_chunking_merged_equals_unmerged(self, small_conformance, chunks):
-        """Streaming property: for ANY chunking, the merged and unmerged
-        adaptive planes produce identical run fingerprints."""
-        query, order = small_conformance
-        merged = _stream_run(query, order, chunks, batching="adaptive")
-        unmerged = _stream_run(
-            query, order, chunks, batching="adaptive", delivery_merging=False
-        )
-        assert_run_equivalent(merged, unmerged, label=f"merge-chunks={chunks[:6]}...")
-
-
-# ---------------------------------------------------------------------------
-# Wire-level delivery merging: control/data interleavings on a toy topology
-# ---------------------------------------------------------------------------
-
-
-class _RecorderTask(Task):
-    """Logs every handled message with its virtual start time."""
-
-    def __init__(self, name: str, machine_id: int, log: list, cost: float) -> None:
-        super().__init__(name, machine_id)
-        self.log = log
-        self.cost = cost
-
-    def handle(self, message: Message, ctx) -> None:
-        ctx.charge(self.cost)
-        payload = message.payload
-        tag = payload.record["i"] if isinstance(payload, StreamTuple) else payload
-        self.log.append((self.name, message.kind.value, tag, ctx.now))
-
-
-class _BursterTask(Task):
-    """Sends one DATA burst to a recorder when kicked (one handler, one link)."""
-
-    def __init__(self, name: str, machine_id: int, burst: list) -> None:
-        super().__init__(name, machine_id)
-        self.burst = burst  # (destination, tag, per-send charge) triples
-
-    def handle(self, message: Message, ctx) -> None:
-        for destination, tag, charge in self.burst:
-            ctx.charge(charge)
-            ctx.send(
-                destination,
-                DataEnvelope(
-                    MessageKind.DATA,
-                    self.name,
-                    StreamTuple(relation="R", record={"i": tag}),
-                    0,
-                    1.0,
-                ),
-            )
-
-
-def _toy_trace(merging: bool, bursts, control_times):
-    """Drive competing DATA bursts + priority control messages; return the
-    consumer-side handling trace and final machine busy states."""
-    simulator = Simulator(num_machines=4, seed=0)
-    if merging:
-        simulator.enable_delivery_merging()
-    log: list = []
-    consumer = _RecorderTask("consumer", machine_id=1, log=log, cost=0.3)
-    simulator.register(consumer)
-    for index, (kick_time, burst) in enumerate(bursts):
-        burster = _BursterTask(
-            f"burster-{index}",
-            machine_id=(0, 2, 3)[index % 3],
-            burst=[("consumer", tag, charge) for tag, charge in burst],
-        )
-        simulator.register(burster)
-        simulator.schedule(
-            kick_time,
-            burster.name,
-            Message(kind=MessageKind.FLUSH, sender="__test__"),
-        )
-    for position, control_time in enumerate(control_times):
-        simulator.schedule(
-            control_time,
-            "consumer",
-            Message(
-                kind=MessageKind.MAPPING_CHANGE,
-                sender="__test__",
-                payload=f"ctl-{position}",
-            ),
-        )
-    simulator.run()
-    busy = [(m.busy_until, m.busy_time) for m in simulator.machines]
-    return log, busy, simulator.heap_events
-
-
-class TestDeliveryMergingInterleavings:
-    @given(
-        bursts=st.lists(
-            st.tuples(
-                st.integers(0, 12),
-                st.lists(
-                    st.tuples(st.integers(0, 99), st.sampled_from([0.05, 0.2, 0.7])),
-                    min_size=0,
-                    max_size=15,
-                ),
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-        control_times=st.lists(st.integers(0, 40), min_size=0, max_size=5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_control_never_crosses_the_merge_horizon(self, bursts, control_times):
-        """Arbitrary interleavings of competing DATA bursts and priority
-        control messages: the merged wire must hand every message to the
-        receiver at exactly the unmerged virtual time and in exactly the
-        unmerged order — a control message can never observe (or be observed
-        by) a data member on the wrong side of a run boundary."""
-        bursts = [(kick / 4.0, burst) for kick, burst in bursts]
-        control_times = [t / 4.0 for t in control_times]
-        merged_log, merged_busy, merged_events = _toy_trace(
-            True, bursts, control_times
-        )
-        plain_log, plain_busy, plain_events = _toy_trace(False, bursts, control_times)
-        assert merged_log == plain_log
-        assert merged_busy == plain_busy
-        assert merged_events <= plain_events
-
-    def test_off_cluster_senders_bypass_merging(self):
-        """Sends from off-cluster tasks (machine_id -1) skip the link-FIFO
-        clamp, so they must not join open channel runs (whose key arrays must
-        stay sorted) — and must in particular never collide with the feed
-        channel bucket.  The trace must still be exactly per-tuple."""
-        def run(merging):
-            simulator = Simulator(num_machines=2, seed=0)
-            if merging:
-                simulator.enable_delivery_merging()
-            log: list = []
-            consumer = _RecorderTask("consumer", machine_id=0, log=log, cost=0.2)
-            off_cluster = _BursterTask(
-                "feeder",
-                machine_id=-1,
-                burst=[("consumer", tag, 0.0) for tag in range(6)],
-            )
-            simulator.register(consumer)
-            simulator.register(off_cluster)
-            simulator.schedule(
-                0.0, "feeder", Message(kind=MessageKind.FLUSH, sender="__test__")
-            )
-            simulator.run()
-            return log
-        assert run(True) == run(False)
-
-
-# ---------------------------------------------------------------------------
 # Columnar probe engine: differential conformance vs the scalar oracle
 # ---------------------------------------------------------------------------
 
@@ -620,9 +415,9 @@ class TestColumnarEngineConformance:
     """The columnar engine against the scalar differential oracle.
 
     These are *same-plane* pairs (unlike the plane-vs-plane suites above), so
-    ``events=True`` additionally pins the global heap-event count and the
-    wire-merge histogram: the columnar kernels must change how member work is
-    computed, never what flows over the wire.
+    ``events=True`` additionally pins the global heap-event count: the
+    columnar kernels must change how member work is computed, never what
+    flows over the wire.
     """
 
     @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])

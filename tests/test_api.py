@@ -244,64 +244,6 @@ class TestRecoveryKnobs:
         assert RunConfig.from_dict(config.to_dict()) == config
 
 
-class TestExecutorKnobs:
-    """Eager validation and serialisation of the executor configuration."""
-
-    def test_executor_json_round_trip(self):
-        config = RunConfig(machines=8, executor="threads", num_workers=3)
-        assert RunConfig.from_json(config.to_json()) == config
-        as_dict = config.to_dict()
-        assert as_dict["executor"] == "threads"
-        assert as_dict["num_workers"] == 3
-        assert RunConfig.from_dict(as_dict) == config
-
-    def test_default_executor_round_trips(self):
-        config = RunConfig(machines=8)
-        assert config.executor == "simulated"
-        assert config.num_workers is None
-        assert RunConfig.from_dict(config.to_dict()) == config
-
-    def test_unknown_executor_lists_registered_choices(self):
-        with pytest.raises(ValueError, match="simulated, threads"):
-            RunConfig(machines=8, executor="gpu")
-
-    def test_num_workers_rejected_on_simulated_backend(self):
-        with pytest.raises(ValueError, match="parallel-executor knob"):
-            RunConfig(machines=8, num_workers=4)
-
-    def test_faults_and_checkpointing_accepted_on_threaded_backend(self):
-        """Recovery is ported to the threaded frontier (the old eager
-        rejections are gone; conformance lives in
-        tests/test_threads_recovery.py)."""
-        config = RunConfig(
-            machines=8, executor="threads",
-            fault_schedule=[crash(0, 1.0)], checkpoint_interval=25,
-        )
-        assert config.fault_schedule[0].machine == 0
-        assert config.checkpoint_interval == 25
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"executor": 7},
-            {"executor": None},
-            {"executor": "threads", "num_workers": 0},
-            {"executor": "threads", "num_workers": -2},
-            {"executor": "threads", "num_workers": 2.5},
-        ],
-    )
-    def test_invalid_executor_values_rejected(self, overrides):
-        with pytest.raises((ValueError, TypeError)):
-            RunConfig(machines=8, **overrides)
-
-    def test_threaded_executor_flows_through_session(self, eq5_query):
-        result = JoinSession(
-            eq5_query, config=RunConfig(machines=4, seed=3, executor="threads")
-        ).run()
-        assert result.executor == "threads"
-        assert len(result.worker_events) == 4
-
-
 # ---------------------------------------------------------------------------
 # Registries
 # ---------------------------------------------------------------------------
