@@ -92,6 +92,20 @@ class TestRunConfig:
             RunConfig.from_dict({"machine_count": 8})
 
     @pytest.mark.parametrize(
+        "knob", ["delivery_merging", "executor", "num_workers", "worker_timeout"]
+    )
+    def test_saved_configs_naming_removed_knobs_fail_loudly(self, knob):
+        """A config saved before the merged wire and the threaded executor
+        were removed must be refused, not silently run on the plain plane."""
+        saved = RunConfig(machines=8).to_dict()
+        saved[knob] = None
+        with pytest.raises(ValueError, match=f"unknown RunConfig field.*{knob}"):
+            RunConfig.from_dict(saved)
+        with pytest.raises(ValueError, match=f"unknown RunConfig field.*{knob}"):
+            RunConfig().with_overrides(**{knob: None})
+        assert knob not in RunConfig().to_dict()
+
+    @pytest.mark.parametrize(
         "overrides",
         [
             {"machines": 0},

@@ -1,15 +1,21 @@
 """Tests for join predicates and the reference cross-join evaluator."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.columns import HAS_NUMPY
+from repro.engine.stream import StreamTuple
 from repro.joins.predicates import (
     BandPredicate,
     CompositePredicate,
     EquiPredicate,
     NotEqualPredicate,
     ThetaPredicate,
+    UnsupportedKeyError,
     cross_join_reference,
 )
 
@@ -130,3 +136,110 @@ class TestCrossJoinReference:
         right = [{"k": i} for i in range(5)]
         always = ThetaPredicate(lambda l, r: True)
         assert len(cross_join_reference(left, right, always)) == 20
+
+
+def _items(left_keys, right_keys, left_attr="x", right_attr="y"):
+    return [StreamTuple(relation="R", record={left_attr: key}) for key in left_keys] + [
+        StreamTuple(relation="S", record={right_attr: key}) for key in right_keys
+    ]
+
+
+_MISSING = object()
+
+REJECTED_KEYS = {
+    "nan": float("nan"),
+    "none": None,
+    "missing": _MISSING,
+    "str": "1.5",
+    "bytes": b"1",
+    "complex": complex(1, 0),
+    "decimal": Decimal("1.5"),
+    "list": [1.0],
+}
+
+ACCEPTED_KEYS = {
+    "int": -3,
+    "float": 2.5,
+    "bool": True,
+    "fraction": Fraction(7, 2),
+    "inf": float("inf"),
+    "negative_inf": float("-inf"),
+    "big_int": 10**30,
+}
+
+
+class TestBandKeyDomain:
+    """``check_keys``: band keys must be real numbers other than NaN."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("name", sorted(REJECTED_KEYS))
+    def test_non_real_keys_rejected(self, name, side):
+        key = REJECTED_KEYS[name]
+        record = {} if key is _MISSING else ({"x": key} if side == "left" else {"y": key})
+        relation, attribute = ("R", "x") if side == "left" else ("S", "y")
+        items = [
+            StreamTuple(relation="R", record={"x": 1.0}),
+            StreamTuple(relation=relation, record=record),
+        ]
+        with pytest.raises(UnsupportedKeyError) as caught:
+            BandPredicate("x", "y", width=1).check_keys(items, "R")
+        error = caught.value
+        assert isinstance(error, ValueError)
+        assert (error.relation, error.attribute) == (relation, attribute)
+        assert error.record is record
+        assert repr(relation) in str(error) and repr(attribute) in str(error)
+
+    @pytest.mark.parametrize("name", sorted(ACCEPTED_KEYS))
+    def test_real_keys_accepted(self, name):
+        key = ACCEPTED_KEYS[name]
+        BandPredicate("x", "y", width=1).check_keys(_items([key, 0], [key, 1.5]), "R")
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy scalars need numpy")
+    def test_numpy_scalars_follow_the_same_rule(self):
+        import numpy as np
+
+        predicate = BandPredicate("x", "y", width=1)
+        predicate.check_keys(_items([np.float64(1.5), np.int64(2)], [np.float32(3)]), "R")
+        with pytest.raises(UnsupportedKeyError):
+            predicate.check_keys(_items([np.float64("nan")], []), "R")
+
+    def test_relation_decides_which_attribute_is_checked(self):
+        """Left records are checked on the left attribute only: a right-side
+        attribute name in a left record is irrelevant, and vice versa."""
+        predicate = BandPredicate("x", "y", width=1)
+        items = [
+            StreamTuple(relation="R", record={"x": 1.0, "y": None}),
+            StreamTuple(relation="S", record={"x": float("nan"), "y": 2.0}),
+        ]
+        predicate.check_keys(items, "R")
+        with pytest.raises(UnsupportedKeyError) as caught:
+            predicate.check_keys(items, "S")  # now the roles swap
+        assert caught.value.relation == "R"
+        assert caught.value.attribute == "y"
+
+    def test_first_offending_record_is_reported(self):
+        items = _items([1.0, float("nan")], [None])
+        with pytest.raises(UnsupportedKeyError) as caught:
+            BandPredicate("x", "y", width=1).check_keys(items, "R")
+        assert caught.value.relation == "R"
+
+    def test_composite_checks_its_band_primary(self):
+        predicate = CompositePredicate(
+            BandPredicate("x", "y", width=1), residuals=[lambda l, r: True]
+        )
+        predicate.check_keys(_items([1.0], [2.0]), "R")
+        with pytest.raises(UnsupportedKeyError):
+            predicate.check_keys(_items([1.0], [float("nan")]), "R")
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            EquiPredicate("x", "y"),
+            CompositePredicate(EquiPredicate("x", "y"), residuals=[lambda l, r: True]),
+            NotEqualPredicate("x", "y"),
+            ThetaPredicate(lambda l, r: True),
+        ],
+        ids=["equi", "composite_equi", "not_equal", "theta"],
+    )
+    def test_non_band_predicates_accept_any_key(self, predicate):
+        predicate.check_keys(_items([float("nan"), None, "a"], [None, b"b"]), "R")

@@ -233,6 +233,22 @@ class TestHostileBandKeys:
         )
         assert_exact_join(result, query, left, right)
 
+    # numpy evaluates inf - inf to NaN (with a RuntimeWarning) in the columnar
+    # key-distance mask; NaN <= width is False, the reference's answer too.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_infinite_keys_are_accepted_and_exact(self, engine):
+        """Infinities are ordered reals: accepted, and joined as the reference
+        joins them (inf - inf is NaN, so two infinities never match)."""
+        inf = float("inf")
+        query = _band_query([1.0, inf, -inf, 2.0] * 5, [1.5, inf, -inf, 3.0] * 5)
+        left, right, rng = _tuples(query, 11)
+        order = interleave_streams(left, right, rng)
+        result = JoinSession(
+            query, config=RunConfig(machines=4, seed=11, probe_engine=engine)
+        ).run(arrival_order=order, collect_outputs=True)
+        assert_exact_join(result, query, left, right)
+
     def test_equi_joins_get_no_key_check(self):
         query = _band_query(
             [1.0, float("nan"), None], [1.0, None], predicate=EquiPredicate("k", "k")
