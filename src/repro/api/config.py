@@ -11,7 +11,8 @@ and the CLI (``--config file.json``).
 
 Validation happens at construction — an invalid ``probe_engine`` or
 ``layout`` fails immediately with the registered choices listed, instead of
-deep inside ``LocalJoiner`` / ``GridPlacement`` construction mid-run.
+deep inside ``LocalJoiner`` / ``GridPlacement`` construction mid-run, and a
+NaN or infinite numeric knob fails with the knob named.
 
 ``to_dict()`` / ``from_dict()`` round-trip exactly (pinned by tests), so a
 config can be serialised into CI breadcrumbs and fed back through the CLI.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -83,19 +85,17 @@ class RunConfig:
             with :func:`~repro.engine.faults.crash` /
             :func:`~repro.engine.faults.crash_after_events`); plain dicts are
             accepted for the JSON round trip.  Empty (default) = no faults.
-            Requires the non-blocking protocol (``blocking=False``).
+            A crashed machine restarts ``restart_after`` later
+            (:data:`~repro.engine.faults.DEFAULT_RESTART_AFTER` unless the
+            spec says otherwise); traffic sent to it meanwhile is buffered
+            and redelivered at restart.  Requires the non-blocking protocol
+            (``blocking=False``).
         checkpoint_interval: journal deltas a task may accumulate before its
-            next epoch-aligned durable snapshot; ``None`` (default) disables
+            next epoch-aligned snapshot; ``None`` (default) disables
             checkpointing unless a fault schedule is present, in which case
             recovery replays the full journal.  Fault-free runs with an
             interval set stay bit-identical to the reference plane (pinned by
             the conformance suite).
-        ack_timeout: virtual time after a crash at which the coordinator
-            detects the failure (the default restart instant) and the link
-            layer first retries buffered traffic to the dead machine.
-        max_retries: link-layer retry attempts (with doubling backoff) for
-            traffic addressed to a crashed machine before the run fails with
-            an unreachable-machine error.
         network_faults: deterministic wire-level faults to inject — a
             sequence of :class:`~repro.engine.faults.NetworkFaultSpec`
             entries (build them with :func:`~repro.engine.faults.drop` /
@@ -132,8 +132,6 @@ class RunConfig:
     inter_arrival: float = 0.0
     fault_schedule: tuple = ()
     checkpoint_interval: int | None = None
-    ack_timeout: float = 5.0
-    max_retries: int = 5
     network_faults: tuple = ()
     retry_base: float = 0.5
     retry_max_attempts: int = 10
@@ -157,8 +155,6 @@ class RunConfig:
             ("arrival_pattern", self.arrival_pattern, str, False),
             ("inter_arrival", self.inter_arrival, (int, float), False),
             ("checkpoint_interval", self.checkpoint_interval, int, True),
-            ("ack_timeout", self.ack_timeout, (int, float), False),
-            ("max_retries", self.max_retries, int, False),
             ("retry_base", self.retry_base, (int, float), False),
             ("retry_max_attempts", self.retry_max_attempts, int, False),
         )
@@ -174,13 +170,15 @@ class RunConfig:
                     f"RunConfig.{name} must be {'None or ' if optional else ''}"
                     f"of type {expected}, got {value!r}"
                 )
+            if types == (int, float) and not math.isfinite(value):
+                raise ValueError(f"RunConfig.{name} must be finite, got {value!r}")
 
     def _check_fault_overlaps(self) -> None:
         """Reject statically-provable overlapping crash windows eagerly.
 
         A machine must be back up before its next crash fires.  For
         time-anchored faults the outage window is known at construction —
-        ``[at_time, at_time + (restart_after or ack_timeout))`` — so two
+        ``[at_time, at_time + restart_after)`` — so two
         overlapping windows on one machine can be rejected here, listing the
         conflicting specs, instead of deep in the simulator mid-run.  Two
         event-anchored faults with the *same* anchor provably collide too
@@ -208,11 +206,7 @@ class RunConfig:
                 key=lambda fault: fault.at_time,
             )
             for earlier, later in zip(timed, timed[1:]):
-                restart = earlier.at_time + (
-                    earlier.restart_after
-                    if earlier.restart_after is not None
-                    else self.ack_timeout
-                )
+                restart = earlier.at_time + earlier.restart_after
                 if later.at_time < restart:
                     raise ValueError(
                         "overlapping fault_schedule entries: "
@@ -333,10 +327,6 @@ class RunConfig:
             raise ValueError(
                 f"checkpoint_interval must be >= 1 or None, got {self.checkpoint_interval}"
             )
-        if self.ack_timeout <= 0:
-            raise ValueError(f"ack_timeout must be > 0, got {self.ack_timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
     # -------------------------------------------------------------- overrides
 

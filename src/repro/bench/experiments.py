@@ -776,16 +776,16 @@ def lossy_wire_sweep(
                 f"drop rate {rate} changed the output count "
                 f"({result.output_count} != {baseline.output_count})"
             )
-        sent = (result.wire_counters or {}).get("sent", 0)
+        wire = result.wire_counters or {}
+        sent = wire.get("sent", 0)
+        retransmitted = wire.get("retransmitted", 0)
         rows.append(
             {
                 "drop_rate": f"{rate:.0%}" if rate else "clean",
-                "dropped": result.messages_dropped,
-                "retransmitted": result.messages_retransmitted,
+                "dropped": wire.get("dropped", 0),
+                "retransmitted": retransmitted,
                 "retransmit_pct": (
-                    round(100.0 * result.messages_retransmitted / sent, 2)
-                    if sent
-                    else 0.0
+                    round(100.0 * retransmitted / sent, 2) if sent else 0.0
                 ),
                 "execution_time": round(result.execution_time, 1),
                 "slowdown": round(

@@ -145,7 +145,7 @@ class GridJoinOperator:
             )
             self.batch_max = None
         # The fault-tolerant plane: active when there are crashes to inject
-        # or durable checkpointing was requested.  Fault-free runs with the
+        # or checkpointing was requested.  Fault-free runs with the
         # plane active stay bit-identical to the reference plane (journaling
         # charges nothing and touches neither the heap nor the rng).
         self._fault_plane = (
@@ -266,8 +266,6 @@ class GridJoinOperator:
                 store=CheckpointStore(),
                 schedule=self.config.fault_schedule,
                 checkpoint_interval=self.config.checkpoint_interval,
-                ack_timeout=self.config.ack_timeout,
-                max_retries=self.config.max_retries,
                 initial_mapping=self.initial_mapping,
             )
             manager.attach_journals(simulator)
@@ -406,12 +404,6 @@ class GridJoinOperator:
             recovery_time=recovery_time,
             tuples_replayed=tuples_replayed,
             checkpoint_overhead=checkpoint_overhead,
-            messages_dropped=wire.frames_dropped if wire is not None else 0,
-            messages_duplicated=wire.frames_duplicated if wire is not None else 0,
-            messages_retransmitted=(
-                wire.frames_retransmitted if wire is not None else 0
-            ),
-            messages_reordered=wire.frames_reordered if wire is not None else 0,
             retransmit_histogram=(
                 dict(wire.retransmit_histogram) if wire is not None else None
             ),

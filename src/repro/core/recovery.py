@@ -9,9 +9,9 @@ The fault-tolerant plane has three moving parts:
   safe points (joiners: NORMAL phase; reshufflers: between tuples) a full
   snapshot truncates the delta log.
 * **Crash handling** — the simulator calls :meth:`RecoveryManager.on_crash`
-  when a scheduled fault fires: the delta buffers are force-flushed (the
-  on-disk journal is complete before recovery reads it) and the machine's
-  volatile storage accounting is zeroed.
+  when a scheduled fault fires: the crash is logged and the machine's
+  volatile storage accounting is zeroed.  The journal needs no flush: it is
+  in-memory, and a row is in it as soon as it is logged.
 * **Restore** — :meth:`RecoveryManager.on_restart` rebuilds the machine's
   joiner and reshuffler from snapshot + delta replay, *through the real
   protocol handlers*.  Replayed handlers return output/migration actions that
@@ -19,13 +19,15 @@ The fault-tolerant plane has three moving parts:
   already in the global metrics collector, and every migration it sent is
   durably on the wire (fail-stop at handler boundaries, see
   :mod:`repro.engine.faults`) — so replay restores state without duplicating
-  effects, giving exactly-once output semantics.
+  effects, giving exactly-once output semantics.  Traffic that arrived for
+  the machine while it was down waits in the simulator's outage buffer and
+  is redelivered right after the restore.
 
 Recovery is framed as an **involuntary migration**: the crash log records the
 dead machine's :class:`~repro.core.migration.StateAssignment` under the
 mapping in force — precisely the state intervals a voluntary migration plan
 would have relocated — and the restore replays the relocation from the
-durable journal instead of from peer machines.
+checkpoint journal instead of from peer machines.
 
 What recovery pins, and what it does not: a fault-free run with journaling
 enabled is bit-identical to the reference plane (journaling touches no heap,
@@ -156,10 +158,9 @@ class RecoveryManager:
     Args:
         simulator: the run's simulator (tasks, machines, cost model).
         topology: the operator topology (task names, plan/placement caches).
-        store: the run's durable checkpoint store.
+        store: the run's checkpoint journal.
         schedule: the normalized fault schedule to inject.
         checkpoint_interval: deltas between snapshots (None = journal only).
-        ack_timeout / max_retries: link-layer failure-detection knobs.
         initial_mapping: the (n, m) scheme in force at start-up — the restore
             baseline for a reshuffler that never reached a snapshot.
     """
@@ -171,8 +172,6 @@ class RecoveryManager:
         store,
         schedule,
         checkpoint_interval,
-        ack_timeout,
-        max_retries,
         initial_mapping,
     ) -> None:
         self.simulator = simulator
@@ -180,8 +179,6 @@ class RecoveryManager:
         self.store = store
         self.schedule = tuple(schedule)
         self.checkpoint_interval = checkpoint_interval
-        self.ack_timeout = ack_timeout
-        self.max_retries = max_retries
         self.initial_mapping = (initial_mapping.n, initial_mapping.m)
 
         self.faults_injected = 0
@@ -205,12 +202,9 @@ class RecoveryManager:
     # ----------------------------------------------------------------- crash
 
     def on_crash(self, machine_id: int, time: float) -> None:
-        """Fail-stop bookkeeping: flush the journal, zero volatile storage."""
+        """Fail-stop bookkeeping: log the crash, zero volatile storage."""
         self.faults_injected += 1
         self._crash_times[machine_id] = time
-        # The write-behind delta buffers must be durable before restore reads
-        # them (group commit at crash time).
-        self.store.flush()
         controller = self.simulator.tasks[self.topology.controller_name]
         mapping = controller.mapping
         assignment = assignments_for(self.topology.placement(mapping)).get(machine_id)

@@ -66,27 +66,20 @@ class RunResult:
             re-materialising the checkpoint and replaying the journal.
         tuples_replayed: data/µ tuples replayed through the real handlers
             during restores (the delta-log length recovery paid for).
-        checkpoint_overhead: bytes written to the durable checkpoint store
-            (snapshots + delta journal) over the run.
-        messages_dropped: link-layer frames the unreliable wire lost (drop
-            specs, partition windows, and lost retransmit attempts).  0 with
-            ``network_faults=()`` — all four counters and both dicts below
-            come from the reliable-delivery sublayer, installed only when a
-            network fault schedule is present.
-        messages_duplicated: frames the wire delivered twice (the copies are
-            discarded by receiver-side dedup).
-        messages_retransmitted: retransmit attempts the reliable-delivery
-            sublayer sent for lost frames.
-        messages_reordered: frames that arrived ahead of a gap and waited in
-            the receiver's in-order release buffer.
+        checkpoint_overhead: bytes written to the checkpoint journal
+            (snapshots + deltas) over the run.
         retransmit_histogram: attempt number → count of retransmits sent on
             that attempt (the backoff depth profile); None without network
             faults.
-        wire_counters: the full reliable-wire counter set as a plain dict
-            (sent/delivered/dropped/duplicated/retransmitted/reordered/
-            deduped/applied), reconciling as ``sent == delivered + dropped``
-            and ``applied == delivered - deduped``; None without network
-            faults.
+        wire_counters: the reliable-wire counters as a plain dict; None
+            without network faults.  ``sent``, ``delivered``, ``dropped``
+            (drop specs, partition windows, lost retransmit attempts),
+            ``duplicated`` (copies discarded by receiver dedup),
+            ``retransmitted`` (retransmit attempts for lost frames),
+            ``reordered`` (frames that waited in the in-order release
+            buffer), ``deduped`` and ``applied``.  They reconcile as
+            ``sent == delivered + dropped`` and
+            ``applied == delivered - deduped``.
     """
 
     operator: str
@@ -125,10 +118,6 @@ class RunResult:
     recovery_time: float = 0.0
     tuples_replayed: int = 0
     checkpoint_overhead: float = 0.0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    messages_retransmitted: int = 0
-    messages_reordered: int = 0
     retransmit_histogram: dict[int, int] | None = None
     wire_counters: dict[str, int] | None = None
 

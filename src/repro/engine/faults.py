@@ -12,8 +12,9 @@ The crash model is **fail-stop at handler boundaries**: a crash lands
 between simulator events, so every handler either ran to completion (its
 state mutations are journaled, its sends are durably on the wire) or not at
 all.  A crashed machine loses its in-memory epoch stores and its inbox;
-traffic addressed to it is buffered and retried by the link layer (see
-``Simulator``) rather than silently dropped.
+its inbox and all traffic addressed to it while it is down wait in an
+outage buffer that the simulator redelivers at restart, so nothing is
+silently dropped.  Every outage ends at its finite restart instant.
 
 The module also defines the **network fault plane**: :class:`NetworkFaultSpec`
 entries carried on ``RunConfig.network_faults`` describe wire-level faults —
@@ -30,7 +31,25 @@ the same seed reproduce the same run bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+#: Virtual time between a crash and its blank replacement coming up, for
+#: :class:`FaultSpec` entries that leave ``restart_after`` unset.
+DEFAULT_RESTART_AFTER = 5.0
+
+
+def _check_number(name: str, value, *, minimum=None, strict=False) -> None:
+    """Reject non-numbers, NaN, ±inf and values below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if minimum is not None:
+        if strict and value <= minimum:
+            raise ValueError(f"{name} must be > {minimum}, got {value}")
+        if not strict and value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +65,8 @@ class FaultSpec:
         after_events: crash as soon as the simulator has processed this many
             handler events.
         restart_after: delay, in virtual time after the crash, before a blank
-            replacement machine comes up and recovery starts.  ``None`` means
-            the replacement appears when the coordinator detects the failure,
-            i.e. after one ack timeout (``RunConfig.ack_timeout``).
+            replacement machine comes up and recovery starts.  ``None``
+            resolves to :data:`DEFAULT_RESTART_AFTER` at construction.
     """
 
     machine: int
@@ -68,10 +86,7 @@ class FaultSpec:
                 f"(got at_time={self.at_time!r}, after_events={self.after_events!r})"
             )
         if self.at_time is not None:
-            if isinstance(self.at_time, bool) or not isinstance(self.at_time, (int, float)):
-                raise ValueError(f"at_time must be a number, got {self.at_time!r}")
-            if self.at_time < 0:
-                raise ValueError(f"at_time must be >= 0, got {self.at_time}")
+            _check_number("at_time", self.at_time, minimum=0)
         if self.after_events is not None:
             if isinstance(self.after_events, bool) or not isinstance(self.after_events, int):
                 raise ValueError(
@@ -79,17 +94,9 @@ class FaultSpec:
                 )
             if self.after_events < 1:
                 raise ValueError(f"after_events must be >= 1, got {self.after_events}")
-        if self.restart_after is not None:
-            if isinstance(self.restart_after, bool) or not isinstance(
-                self.restart_after, (int, float)
-            ):
-                raise ValueError(
-                    f"restart_after must be a number, got {self.restart_after!r}"
-                )
-            if self.restart_after <= 0:
-                raise ValueError(
-                    f"restart_after must be > 0, got {self.restart_after}"
-                )
+        if self.restart_after is None:
+            object.__setattr__(self, "restart_after", DEFAULT_RESTART_AFTER)
+        _check_number("restart_after", self.restart_after, minimum=0, strict=True)
 
     def to_dict(self) -> dict:
         """Plain-dict form (used by RunConfig JSON round-tripping)."""
@@ -150,16 +157,6 @@ _NETWORK_FAULT_FIELDS = (
     "kind", "link", "nth", "by",
     "machines_a", "machines_b", "from_time", "until_time",
 )
-
-
-def _check_number(name: str, value, *, minimum=None, strict=False) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if minimum is not None:
-        if strict and value <= minimum:
-            raise ValueError(f"{name} must be > {minimum}, got {value}")
-        if not strict and value < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_machine_tuple(name: str, value) -> tuple:

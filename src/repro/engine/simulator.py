@@ -61,25 +61,24 @@ _TICK_RANK_BASE = 1 << 62
 _LINK_SPAN = 1 << 34
 _MACHINE_SPAN = 1 << 12  # > max machines + off-cluster sentinel
 
-# Fault-plane events (crash / restart / link retry) rank above machine ticks:
-# at an equal instant every ordinary event of that time completes first, so a
-# crash always lands *between* handler events (fail-stop at handler
-# boundaries, see repro.engine.faults).  Within the band, restarts order
-# before retries — a retry popping at the restart instant must see the
-# machine alive — and a per-simulator serial breaks remaining ties so heap
-# entries never compare the _FaultEvent payloads themselves.  The unreliable
-# wire's frame arrivals and retransmit timers ride the same band (offsets 3
-# and 4): they too land between handler events.
+# Fault-plane events (crash / restart) rank above machine ticks: at an equal
+# instant every ordinary event of that time completes first, so a crash
+# always lands *between* handler events (fail-stop at handler boundaries, see
+# repro.engine.faults).  Within the band, crashes order before restarts, and
+# a per-simulator serial breaks remaining ties so heap entries never compare
+# the _FaultEvent payloads themselves.  The unreliable wire's frame arrivals
+# and retransmit timers ride the same band (offsets 2 and 3): they too land
+# between handler events.
 _FAULT_RANK_BASE = 1 << 63
-_FAULT_ACTION_OFFSETS = {"crash": 0, "restart": 1, "retry": 2, "frame": 3, "retransmit": 4}
+_FAULT_ACTION_OFFSETS = {"crash": 0, "restart": 1, "frame": 2, "retransmit": 3}
 
 
 class _FaultEvent:
     """Heap payload of one fault-plane action targeting a machine id.
 
     ``action`` is ``"crash"`` (carries the originating
-    :class:`~repro.engine.faults.FaultSpec`), ``"restart"`` or ``"retry"``
-    for the crash plane, or ``"frame"`` / ``"retransmit"`` (carrying a
+    :class:`~repro.engine.faults.FaultSpec`) or ``"restart"`` for the crash
+    plane, or ``"frame"`` / ``"retransmit"`` (carrying a
     :class:`_WireFrame`) for the unreliable-wire plane.
     """
 
@@ -168,13 +167,12 @@ class Simulator:
         # point where a control message would take effect (drain horizon).
         self._pending_priority: list[list[float]] = [[] for _ in range(num_machines)]
         # Fault plane (install_faults): the recovery manager, the machines
-        # currently down, their buffered-during-outage deliveries, and the
-        # link-layer retry state.  All empty/None on fault-free runs.
+        # currently down and their buffered-during-outage deliveries.  All
+        # empty/None on fault-free runs.
         self._recovery = None
         self._crashed: set[int] = set()
         self._crashed_count = 0
         self._outage: dict[int, list] = {}
-        self._retry_attempts: dict[int, int] = {}
         self._after_event_faults: list = []
         self._fault_serial = itertools.count()
         # Unreliable-wire plane (install_network_faults): the ReliableWire
@@ -521,10 +519,8 @@ class Simulator:
             self._restart_machine(machine_id, time)
         elif action == "frame":
             self._wire_arrive(event.fault, time)
-        elif action == "retransmit":
-            self._wire_retransmit(event.fault, time)
         else:
-            self._retry_machine(machine_id, time)
+            self._wire_retransmit(event.fault, time)
 
     def _crash_machine(self, machine_id: int, fault, time: float) -> None:
         """Fail-stop ``machine_id``: drop its volatile state, start the outage.
@@ -547,16 +543,8 @@ class Simulator:
         # Suppress tick scheduling for the duration of the outage; the
         # restart pushes its own tick.
         self._tick_scheduled[machine_id] = True
-        recovery = self._recovery
-        recovery.on_crash(machine_id, time)
-        delay = fault.restart_after
-        if delay is None:
-            # Coordinator detects the failure at the ack timeout and brings
-            # up the blank replacement immediately.
-            delay = recovery.ack_timeout
-        self._schedule_fault(time + delay, "restart", machine_id)
-        self._retry_attempts[machine_id] = 0
-        self._schedule_fault(time + recovery.ack_timeout, "retry", machine_id)
+        self._recovery.on_crash(machine_id, time)
+        self._schedule_fault(time + fault.restart_after, "restart", machine_id)
 
     def _restart_machine(self, machine_id: int, time: float) -> None:
         """Blank replacement up: restore from the checkpoint store, replay the
@@ -582,22 +570,6 @@ class Simulator:
         # _tick_scheduled stayed True through the outage; this tick restarts
         # the normal cycle.
         self._schedule_tick(machine_id, time)
-
-    def _retry_machine(self, machine_id: int, time: float) -> None:
-        """Link-layer retry timer for traffic addressed to a dead machine."""
-        if machine_id not in self._crashed:
-            return  # machine came back; the timer dissolves
-        attempts = self._retry_attempts.get(machine_id, 0) + 1
-        self._retry_attempts[machine_id] = attempts
-        recovery = self._recovery
-        if attempts > recovery.max_retries and self._outage.get(machine_id):
-            raise RuntimeError(
-                f"machine {machine_id} unreachable after "
-                f"{recovery.max_retries} retries"
-            )
-        self._schedule_fault(
-            time + recovery.ack_timeout * (2 ** attempts), "retry", machine_id
-        )
 
     def _divert_crashed(
         self, task: Task, message: Message, time: float, machine_id: int

@@ -1,4 +1,4 @@
-"""Joiner-local storage with out-of-core (spill) and durable-checkpoint models.
+"""Joiner-local storage with out-of-core (spill) and checkpoint-journal models.
 
 The paper backs joiners with BerkeleyDB so that overflowing main memory does
 not block processing, at the cost of an order-of-magnitude slowdown (§5).
@@ -9,8 +9,8 @@ This package provides the equivalent:
   sub-stores; tuples beyond the budget are "spilled" and every touch of
   spilled data reports a penalty factor that the engine converts into extra
   processing time,
-* :class:`CheckpointStore` — the SQLite-WAL-backed snapshot + delta journal
-  behind the fault-tolerant join plane (see ``repro.core.recovery``).
+* :class:`CheckpointStore` — the in-memory, CRC-checked snapshot + delta
+  journal behind the fault-tolerant join plane (see ``repro.core.recovery``).
 """
 
 from repro.storage.checkpoint_store import CheckpointCorruptionError, CheckpointStore

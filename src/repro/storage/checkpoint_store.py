@@ -1,4 +1,4 @@
-"""Durable epoch-state checkpoints: an SQLite-WAL-backed snapshot + delta log.
+"""Epoch-state checkpoints: an in-memory, CRC-checked snapshot + delta journal.
 
 One :class:`CheckpointStore` serves a whole run.  Each task journals its
 state mutations as pickled *delta* entries; at epoch-aligned safe points the
@@ -6,18 +6,17 @@ task writes a full *snapshot* of its state, which truncates its delta log.
 Recovery reads the last snapshot and replays the deltas logged after it
 (see :mod:`repro.core.recovery`).
 
-Durability model: the store lives in a WAL-mode SQLite file (a temp file by
-default, removed when the run closes the store).  Deltas are buffered in
-memory and flushed with ``executemany`` every ``flush_every`` entries —
-write-behind, like a group-committed log — and are force-flushed at every
-snapshot and at crash time, so the on-disk journal is always complete before
-recovery reads it.
+Durability model: a simulated crash runs in the same process and loses only
+the crashed machine's task state, so the journal lives in process memory, as
+per-task lists of ``(seq, payload, crc32)`` rows.  Every row is pickled when
+it is written, which also isolates it from later mutation of the live state
+it was taken from.
 
 Journaling charges **zero virtual time** and touches neither the event heap
 nor the rng, so a fault-free run with checkpointing enabled is bit-identical
 to the same run without it (pinned in ``tests/test_fault_recovery.py``).
-The I/O cost is surfaced instead as ``RunResult.checkpoint_overhead`` (bytes
-written), which the recovery benchmark charts against the interval.
+The journal's cost is surfaced instead as ``RunResult.checkpoint_overhead``
+(bytes written), which the recovery benchmark charts against the interval.
 
 Integrity model: every snapshot and delta row carries a CRC-32 of its
 payload, verified on :meth:`load`.  The store retains the newest *two*
@@ -31,10 +30,7 @@ at all — cannot be masked and raises :class:`CheckpointCorruptionError`.
 
 from __future__ import annotations
 
-import os
 import pickle
-import sqlite3
-import tempfile
 import zlib
 from typing import Any
 
@@ -53,62 +49,45 @@ class CheckpointCorruptionError(RuntimeError):
         super().__init__(f"checkpoint state for task {task!r} is corrupt: {reason}")
 
 
+def _row(seq: int, value: Any) -> tuple[int, bytes, int]:
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    return seq, payload, zlib.crc32(payload)
+
+
+def _unpickle(payload: bytes, checksum: int) -> tuple[bool, Any]:
+    """``(True, value)`` for an intact row, ``(False, None)`` otherwise."""
+    if zlib.crc32(payload) != checksum:
+        return False, None
+    try:
+        return True, pickle.loads(payload)
+    except Exception:
+        return False, None
+
+
 class CheckpointStore:
-    """Snapshot + delta journal for every task of one run.
+    """Snapshot + delta journal for every task of one run."""
 
-    Args:
-        path: SQLite database file.  ``None`` creates a temp file that is
-            deleted on :meth:`close`.
-        flush_every: buffered delta entries per task before an
-            ``executemany`` flush to the database.
-    """
-
-    def __init__(self, path: str | None = None, flush_every: int = 64) -> None:
-        if path is None:
-            handle, path = tempfile.mkstemp(prefix="repro-checkpoint-", suffix=".sqlite")
-            os.close(handle)
-            self._owns_file = True
-        else:
-            self._owns_file = False
-        self.path = path
-        self.flush_every = max(1, int(flush_every))
-        # WAL, a group-commit-friendly sync level, and a busy timeout.
-        conn = self._conn = sqlite3.connect(self.path)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=10000")
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS snapshots ("
-            " task TEXT NOT NULL, seq INTEGER NOT NULL, payload BLOB NOT NULL,"
-            " checksum INTEGER NOT NULL, PRIMARY KEY (task, seq))"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS deltas ("
-            " task TEXT NOT NULL, seq INTEGER NOT NULL, payload BLOB NOT NULL,"
-            " checksum INTEGER NOT NULL, PRIMARY KEY (task, seq))"
-        )
-        conn.commit()
-        self._buffers: dict[str, list[tuple[str, int, bytes, int]]] = {}
+    def __init__(self) -> None:
+        # Per task, in ascending seq order: the newest two snapshots and the
+        # deltas back to the older one.
+        self._snapshots: dict[str, list[tuple[int, bytes, int]]] = {}
+        self._deltas: dict[str, list[tuple[int, bytes, int]]] = {}
         self._next_seq: dict[str, int] = {}
         self._since_snapshot: dict[str, int] = {}
         self.bytes_written = 0
         self.delta_entries = 0
         self.snapshots_taken = 0
-        self._closed = False
 
     # ------------------------------------------------------------- journaling
 
     def log(self, task: str, entry: Any) -> int:
         """Append one delta entry for ``task``; returns the number of deltas
         logged since that task's last snapshot."""
-        payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
         seq = self._next_seq.get(task, 0)
         self._next_seq[task] = seq + 1
-        buffer = self._buffers.setdefault(task, [])
-        buffer.append((task, seq, payload, zlib.crc32(payload)))
-        if len(buffer) >= self.flush_every:
-            self._flush_task(task)
-        self.bytes_written += len(payload)
+        row = _row(seq, entry)
+        self._deltas.setdefault(task, []).append(row)
+        self.bytes_written += len(row[1])
         self.delta_entries += 1
         count = self._since_snapshot.get(task, 0) + 1
         self._since_snapshot[task] = count
@@ -119,32 +98,20 @@ class CheckpointStore:
 
         The newest two snapshots are retained (with the deltas back to the
         older one) so a corrupt newest snapshot can fall back to the previous
-        intact one; everything older is pruned.  Buffered deltas are flushed
-        first — they are the fallback's replay tail, no longer superseded
-        garbage.
+        intact one; everything older is pruned.
         """
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        self._flush_task(task)
-        seq = self._next_seq.get(task, 0)
-        conn = self._conn
-        conn.execute(
-            "INSERT OR REPLACE INTO snapshots (task, seq, payload, checksum)"
-            " VALUES (?, ?, ?, ?)",
-            (task, seq, payload, zlib.crc32(payload)),
-        )
-        conn.execute(
-            "DELETE FROM snapshots WHERE task = ? AND seq NOT IN ("
-            " SELECT seq FROM snapshots WHERE task = ?"
-            " ORDER BY seq DESC LIMIT 2)",
-            (task, task),
-        )
-        conn.execute(
-            "DELETE FROM deltas WHERE task = ? AND seq < ("
-            " SELECT MIN(seq) FROM snapshots WHERE task = ?)",
-            (task, task),
-        )
-        conn.commit()
-        self.bytes_written += len(payload)
+        row = _row(self._next_seq.get(task, 0), state)
+        snapshots = self._snapshots.setdefault(task, [])
+        if snapshots and snapshots[-1][0] == row[0]:
+            snapshots[-1] = row  # no delta since the last snapshot: replace it
+        else:
+            snapshots.append(row)
+        del snapshots[:-2]
+        oldest = snapshots[0][0]
+        deltas = self._deltas.get(task)
+        if deltas:
+            self._deltas[task] = [delta for delta in deltas if delta[0] >= oldest]
+        self.bytes_written += len(row[1])
         self.snapshots_taken += 1
         self._since_snapshot[task] = 0
 
@@ -163,96 +130,49 @@ class CheckpointStore:
         that cannot be masked — no intact snapshot left, or a corrupt delta
         with intact rows after it — raises :class:`CheckpointCorruptionError`.
         """
-        self._flush_task(task)
-        conn = self._conn
         snapshot = None
         snapshot_seq = 0
-        snapshot_rows = conn.execute(
-            "SELECT seq, payload, checksum FROM snapshots WHERE task = ?"
-            " ORDER BY seq DESC",
-            (task,),
-        ).fetchall()
-        for seq, payload, checksum in snapshot_rows:
-            if zlib.crc32(payload) != checksum:
-                continue
-            try:
-                snapshot = pickle.loads(payload)
-            except Exception:
-                continue
-            snapshot_seq = seq
-            break
+        snapshot_rows = self._snapshots.get(task, [])
+        for seq, payload, checksum in reversed(snapshot_rows):
+            intact, value = _unpickle(payload, checksum)
+            if intact:
+                snapshot, snapshot_seq = value, seq
+                break
         else:
             if snapshot_rows:
                 raise CheckpointCorruptionError(
                     task, f"all {len(snapshot_rows)} stored snapshot(s) failed "
                     "their checksum"
                 )
-        delta_rows = conn.execute(
-            "SELECT seq, payload, checksum FROM deltas WHERE task = ?"
-            " AND seq >= ? ORDER BY seq",
-            (task, snapshot_seq),
-        ).fetchall()
+        delta_rows = [row for row in self._deltas.get(task, []) if row[0] >= snapshot_seq]
         deltas = []
         for index, (seq, payload, checksum) in enumerate(delta_rows):
-            intact = zlib.crc32(payload) == checksum
+            intact, value = _unpickle(payload, checksum)
             if intact:
-                try:
-                    deltas.append(pickle.loads(payload))
-                    continue
-                except Exception:
-                    intact = False
-            if not intact:
-                tail = delta_rows[index + 1:]
-                if any(
-                    zlib.crc32(later_payload) == later_checksum
-                    for _seq, later_payload, later_checksum in tail
-                ):
-                    raise CheckpointCorruptionError(
-                        task,
-                        f"delta seq {seq} failed its checksum with intact "
-                        "entries after it (not a torn tail)",
-                    )
-                # Torn tail: the corrupt row and everything after it were
-                # never durably applied; replay stops here.
-                break
+                deltas.append(value)
+                continue
+            if any(
+                zlib.crc32(later_payload) == later_checksum
+                for _seq, later_payload, later_checksum in delta_rows[index + 1:]
+            ):
+                raise CheckpointCorruptionError(
+                    task,
+                    f"delta seq {seq} failed its checksum with intact "
+                    "entries after it (not a torn tail)",
+                )
+            # Torn tail: the corrupt row and everything after it were never
+            # durably applied; replay stops here.
+            break
         return snapshot, deltas
 
     # --------------------------------------------------------------- plumbing
 
-    def _flush_task(self, task: str) -> None:
-        """Flush one task's buffered deltas to the database."""
-        buffer = self._buffers.pop(task, None)
-        if buffer:
-            conn = self._conn
-            conn.executemany(
-                "INSERT INTO deltas (task, seq, payload, checksum)"
-                " VALUES (?, ?, ?, ?)",
-                buffer,
-            )
-            conn.commit()
-
     def flush(self) -> None:
-        """Force every buffered delta to the database (pre-recovery barrier)."""
-        for task in list(self._buffers):
-            self._flush_task(task)
+        """Pre-recovery barrier.  A no-op: every row is in the journal as
+        soon as :meth:`log` or :meth:`snapshot` returns."""
 
     def close(self) -> None:
-        """Close the connection and remove the backing temp file."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._conn.close()
-        finally:
-            if self._owns_file:
-                for suffix in ("", "-wal", "-shm"):
-                    try:
-                        os.unlink(self.path + suffix)
-                    except OSError:
-                        pass
-
-    def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
+        """End of run: release the journal rows, so a finished run does not
+        hold its checkpoints in memory.  The counters stay."""
+        self._snapshots.clear()
+        self._deltas.clear()

@@ -41,10 +41,6 @@ NETWORK_FIELDS = frozenset(
         "routing_volume",
         "migration_volume",
         "total_network_volume",
-        "messages_dropped",
-        "messages_duplicated",
-        "messages_retransmitted",
-        "messages_reordered",
         "retransmit_histogram",
         "wire_counters",
     }
@@ -176,30 +172,6 @@ def assert_run_equivalent(
         result_a.total_network_volume,
         result_b.total_network_volume,
         "total network volume",
-    )
-    check(
-        "messages_dropped",
-        result_a.messages_dropped,
-        result_b.messages_dropped,
-        "messages_dropped",
-    )
-    check(
-        "messages_duplicated",
-        result_a.messages_duplicated,
-        result_b.messages_duplicated,
-        "messages_duplicated",
-    )
-    check(
-        "messages_retransmitted",
-        result_a.messages_retransmitted,
-        result_b.messages_retransmitted,
-        "messages_retransmitted",
-    )
-    check(
-        "messages_reordered",
-        result_a.messages_reordered,
-        result_b.messages_reordered,
-        "messages_reordered",
     )
     check(
         "retransmit_histogram",

@@ -16,6 +16,7 @@ Pins the contracts of ``repro.api``:
   the materialised path on EQ5 at ``batch_size ∈ {1, 64}``.
 """
 
+import math
 import random
 
 import pytest
@@ -92,11 +93,20 @@ class TestRunConfig:
             RunConfig.from_dict({"machine_count": 8})
 
     @pytest.mark.parametrize(
-        "knob", ["delivery_merging", "executor", "num_workers", "worker_timeout"]
+        "knob",
+        [
+            "delivery_merging",
+            "executor",
+            "num_workers",
+            "worker_timeout",
+            "ack_timeout",
+            "max_retries",
+        ],
     )
     def test_saved_configs_naming_removed_knobs_fail_loudly(self, knob):
-        """A config saved before the merged wire and the threaded executor
-        were removed must be refused, not silently run on the plain plane."""
+        """A config saved before the merged wire, the threaded executor and
+        the crash-retry timer were removed must be refused, not silently run
+        on the plain plane."""
         saved = RunConfig(machines=8).to_dict()
         saved[knob] = None
         with pytest.raises(ValueError, match=f"unknown RunConfig field.*{knob}"):
@@ -117,10 +127,22 @@ class TestRunConfig:
             {"memory_capacity": -5.0},
             {"arrival_pattern": "sorted"},
             {"blocking": "yes"},
+            *(
+                {knob: value}
+                for knob in (
+                    "epsilon",
+                    "inter_arrival",
+                    "warmup_tuples",
+                    "memory_capacity",
+                    "retry_base",
+                )
+                for value in (math.nan, math.inf, -math.inf)
+            ),
         ],
     )
     def test_invalid_values_rejected(self, overrides):
-        with pytest.raises(ValueError):
+        (knob,) = overrides
+        with pytest.raises(ValueError, match=knob):
             RunConfig(**overrides)
 
     def test_unregistered_probe_engine_lists_choices(self):
@@ -205,8 +227,6 @@ class TestRecoveryKnobs:
                 crash_after_events(1, 400, restart_after=2.0),
             ],
             checkpoint_interval=50,
-            ack_timeout=2.5,
-            max_retries=3,
         )
         assert RunConfig.from_json(config.to_json()) == config
         as_dict = config.to_dict()
@@ -238,14 +258,13 @@ class TestRecoveryKnobs:
             {"fault_schedule": [{"machine": 0, "at_time": -1.0}]},
             {"fault_schedule": [{"machine": 0, "after_events": 0}]},
             {"fault_schedule": [{"machine": 0, "at_time": 1.0, "restart_after": 0}]},
+            {"fault_schedule": [{"machine": 0, "at_time": math.nan}]},
+            {"fault_schedule": [{"machine": 0, "at_time": 1.0, "restart_after": math.nan}]},
+            {"fault_schedule": [{"machine": 0, "at_time": 1.0, "restart_after": math.inf}]},
             {"fault_schedule": 7},
             {"checkpoint_interval": 0},
             {"checkpoint_interval": -5},
             {"checkpoint_interval": 2.5},
-            {"ack_timeout": 0.0},
-            {"ack_timeout": -1.0},
-            {"max_retries": -1},
-            {"max_retries": 1.5},
         ],
     )
     def test_invalid_recovery_values_rejected(self, overrides):
