@@ -15,7 +15,7 @@ def test_fig7b_latency(benchmark):
         # order of magnitude as the static operators (paper: +5..20 ms).
         assert dynamic <= 3.0 * max(static_mid, 1e-9) + 5.0
     # Every row reports the batch-size trace next to the latency so
-    # batching-induced latency artefacts are visible in review; the fixed
+    # batching-induced latency artefacts are visible in review; the per-tuple
     # reference plane has no drained runs.
     assert all(row["batch_trace"] == "-" for row in report.rows)
 

@@ -29,11 +29,11 @@ def main() -> None:
     print()
 
     # 2. One config, one session; the operator kind is a per-run choice.
-    #    batching="adaptive" runs the batched data plane at reference
-    #    semantics: flipping this one line changes wall-clock and simulator
-    #    event counts, but not a single reported number (results and virtual
-    #    times are bit-identical to the per-tuple plane — see
-    #    tests/test_adaptive_conformance.py).
+    #    The default batching="adaptive" drains machine backlogs in coalesced
+    #    handler runs at reference semantics: switching to
+    #    batching="per_tuple" changes wall-clock and simulator event counts,
+    #    but not a single reported number (results and virtual times are
+    #    bit-identical — see tests/test_adaptive_conformance.py).
     #
     #    probe_engine picks how joiners evaluate the predicate — also purely
     #    a wall-clock choice, never a results choice:
@@ -43,7 +43,7 @@ def main() -> None:
     #      * "columnar": set-at-a-time NumPy kernels (needs the `columnar`
     #        extra: pip install repro[columnar]). Biggest win on match-dense
     #        workloads, where per-pair Python costs dominate.
-    config = RunConfig(machines=16, seed=7, batching="adaptive")
+    config = RunConfig(machines=16, seed=7)
     session = JoinSession(query, config=config)
 
     header = f"{'operator':<12} {'exec time':>10} {'throughput':>11} {'max ILF':>9} {'storage':>9} {'migrations':>11} {'mapping':>9}"

@@ -9,8 +9,8 @@ One coherent front door over the operator stack:
   :class:`StreamSnapshot` observability.
 * :func:`build_operator` — registry-backed operator construction.
 * Registries — :func:`register_operator`, :func:`register_probe_engine`,
-  :func:`register_predicate`, :func:`register_batch_controller` let new
-  backends and scenarios plug in without touching core modules.
+  :func:`register_predicate` let new backends and scenarios plug in without
+  touching core modules.
 
 Quickstart::
 
@@ -23,15 +23,13 @@ Quickstart::
     final = session.finish()
 """
 
-from repro.api.config import ARRIVAL_PATTERNS, RunConfig
+from repro.api.config import ARRIVAL_PATTERNS, BATCHING_PLANES, RunConfig
 from repro.api.registry import (
     PredicateKind,
     Registry,
-    batch_controllers,
     operators,
     predicate_kinds,
     probe_engines,
-    register_batch_controller,
     register_operator,
     register_predicate,
     register_probe_engine,
@@ -52,6 +50,7 @@ from repro.engine.faults import (
 
 __all__ = [
     "ARRIVAL_PATTERNS",
+    "BATCHING_PLANES",
     "FaultSpec",
     "JoinSession",
     "NetworkFaultSpec",
@@ -61,7 +60,6 @@ __all__ = [
     "StreamSnapshot",
     "UnreachableLinkError",
     "UnsupportedKeyError",
-    "batch_controllers",
     "build_operator",
     "crash",
     "crash_after_events",
@@ -72,7 +70,6 @@ __all__ = [
     "partition",
     "predicate_kinds",
     "probe_engines",
-    "register_batch_controller",
     "register_operator",
     "register_predicate",
     "register_probe_engine",

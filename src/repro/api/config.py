@@ -26,12 +26,10 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-# Importing the built-in engine/predicate/batching registrations;
-# keeps validation meaningful even when repro.api.config is imported before
-# the rest of repro.
-import repro.engine.batching  # noqa: F401  (populates the batch-controller registry)
+# Importing the built-in engine/predicate registrations keeps validation
+# meaningful even when repro.api.config is imported before the rest of repro.
 import repro.joins.local  # noqa: F401  (populates the probe-engine registry)
-from repro.api.registry import LAYOUTS, batch_controllers, probe_engines
+from repro.api.registry import LAYOUTS, probe_engines
 from repro.engine.columns import HAS_NUMPY, NUMPY_HINT
 from repro.engine.faults import (
     FaultSpec,
@@ -43,15 +41,18 @@ from repro.engine.faults import (
 #: (see :func:`repro.engine.stream.interleave_streams`).
 ARRIVAL_PATTERNS = ("uniform", "alternate", "r_first", "s_first")
 
+#: Settings of the data plane (see :mod:`repro.engine.batching`).
+BATCHING_PLANES = ("adaptive", "per_tuple")
+
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
     """Every knob of one operator run, validated eagerly, immutable.
 
-    Field defaults are the *operator's* tuned defaults (e.g. ``batch_size=None``
-    selects the batched data plane's ``DEFAULT_BATCH_SIZE``); layers that need
-    different reference semantics (the paper-figure drivers pin
-    ``batch_size=1``) say so explicitly instead of re-declaring defaults.
+    Field defaults are the *operator's* tuned defaults; layers that need
+    different settings (the paper-figure drivers pin
+    ``batching="per_tuple"``) say so explicitly instead of re-declaring
+    defaults.
 
     Attributes:
         machines: number of joiners J (the operator requires a power of two).
@@ -61,22 +62,20 @@ class RunConfig:
             migration may be considered; ``None`` = ``4.0 * machines``.
         layout: machine-to-cell layout, ``"dyadic"`` or ``"row_major"``.
         blocking: model the blocking actuation protocol instead of Alg. 3.
+            A blocking run always uses the per-tuple plane, whatever
+            ``batching`` says: its buffered-resume control messages charge
+            CPU time, which a coalesced run cannot reproduce exactly.
         memory_capacity: per-machine storage budget; ``None`` = unbounded.
         sample_every: controller sampling period for ILF/ratio time series.
-        batch_size: data-plane micro-batch size; ``None`` selects the tuned
-            default (64), ``1`` the per-tuple reference plane.  Fixed plane
-            only — the adaptive plane sizes its runs dynamically and rejects
-            an explicit ``batch_size``.
         probe_engine: joiner probe engine; must name a registered engine.
-        batching: batching plane; must name a registered batch controller.
-            ``"fixed"`` (default) is the sender-side micro-batch plane sized
-            by ``batch_size``; ``"adaptive"`` keeps the wire per-tuple and
-            coalesces backlog at the receiver — bit-identical results and
-            virtual times to ``batch_size=1`` (pinned by the conformance
-            suite), with the event/wall-clock savings of batching.
-        batch_max: largest run the adaptive controller may coalesce
-            (``None`` = the controller's default, 64).  Rejected when
-            ``batching="fixed"``.
+        batching: data-plane setting, one of :data:`BATCHING_PLANES`.
+            ``"adaptive"`` (default) keeps the wire per-tuple and coalesces
+            backlog at the receiver into runs of up to
+            :data:`~repro.engine.batching.DEFAULT_BATCH_MAX` messages —
+            results and virtual times bit-identical to ``"per_tuple"``
+            (pinned by the conformance suite), with fewer simulator events.
+            ``"per_tuple"`` hands every message to its handler alone: the
+            reference plane.
         arrival_pattern: interleaving of the two input streams (pacing).
         inter_arrival: virtual-time gap between consecutive arrivals (pacing;
             0 = joiners fully utilised).
@@ -124,10 +123,8 @@ class RunConfig:
     blocking: bool = False
     memory_capacity: float | None = None
     sample_every: int = 200
-    batch_size: int | None = None
     probe_engine: str = "vectorized"
-    batching: str = "fixed"
-    batch_max: int | None = None
+    batching: str = "adaptive"
     arrival_pattern: str = "uniform"
     inter_arrival: float = 0.0
     fault_schedule: tuple = ()
@@ -148,10 +145,8 @@ class RunConfig:
             ("blocking", self.blocking, bool, False),
             ("memory_capacity", self.memory_capacity, (int, float), True),
             ("sample_every", self.sample_every, int, False),
-            ("batch_size", self.batch_size, int, True),
             ("probe_engine", self.probe_engine, str, False),
             ("batching", self.batching, str, False),
-            ("batch_max", self.batch_max, int, True),
             ("arrival_pattern", self.arrival_pattern, str, False),
             ("inter_arrival", self.inter_arrival, (int, float), False),
             ("checkpoint_interval", self.checkpoint_interval, int, True),
@@ -239,8 +234,6 @@ class RunConfig:
             )
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1 or None, got {self.batch_size}")
         if self.probe_engine not in probe_engines:
             raise ValueError(
                 f"unknown probe engine {self.probe_engine!r}; registered choices: "
@@ -252,35 +245,11 @@ class RunConfig:
                 f"probe engine {self.probe_engine!r} unavailable: {NUMPY_HINT}; "
                 f"registered choices: {', '.join(probe_engines.names())}"
             )
-        if self.batching not in batch_controllers:
+        if self.batching not in BATCHING_PLANES:
             raise ValueError(
-                f"unknown batching {self.batching!r}; registered choices: "
-                f"{', '.join(batch_controllers.names())}"
+                f"unknown batching {self.batching!r}; "
+                f"choices: {', '.join(BATCHING_PLANES)}"
             )
-        controller_class = batch_controllers.get(self.batching)
-        if not getattr(controller_class, "drains", False):
-            if self.batch_max is not None:
-                raise ValueError(
-                    f"batch_max is an adaptive-controller parameter; "
-                    f"batching={self.batching!r} sizes batches statically via "
-                    "batch_size"
-                )
-        else:
-            if self.batch_size is not None:
-                raise ValueError(
-                    f"batch_size applies to the fixed plane only; "
-                    f"batching={self.batching!r} sizes its runs dynamically "
-                    "(cap them with batch_max instead)"
-                )
-            if self.batch_max is not None and self.batch_max < 1:
-                raise ValueError(f"batch_max must be >= 1 or None, got {self.batch_max}")
-            if self.blocking:
-                raise ValueError(
-                    "adaptive batching requires the non-blocking migration "
-                    "protocol (blocking=False): the blocking protocol's "
-                    "buffered-resume control messages charge CPU time, which "
-                    "a coalesced run cannot reproduce per-tuple-exactly"
-                )
         if self.arrival_pattern not in ARRIVAL_PATTERNS:
             raise ValueError(
                 f"unknown arrival_pattern {self.arrival_pattern!r}; "

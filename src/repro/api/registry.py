@@ -94,10 +94,6 @@ probe_engines = Registry("probe engine")
 #: Predicate ``kind`` → :class:`repro.api.registry.PredicateKind` spec.
 predicate_kinds = Registry("predicate kind")
 
-#: Batching plane name → :class:`repro.engine.batching.BatchController`
-#: subclass (``RunConfig.batching`` values: ``"fixed"``, ``"adaptive"``, ...).
-batch_controllers = Registry("batch controller")
-
 
 class PredicateKind:
     """What the system needs to know about one predicate ``kind``.
@@ -140,13 +136,4 @@ def register_predicate(
     spec = PredicateKind(name, joiner_factory, predicate_class)
     return predicate_kinds.register(name, spec, replace=replace)
 
-
-def register_batch_controller(name: str, controller_class, *, replace: bool = False):
-    """Register a batching plane (see :class:`repro.engine.batching.BatchController`).
-
-    The class is instantiated once per machine and per run with
-    ``controller_class(batch_max=...)`` when it advertises ``drains=True``;
-    non-draining planes (the built-in ``"fixed"``) are only validated against.
-    """
-    return batch_controllers.register(name, controller_class, replace=replace)
 

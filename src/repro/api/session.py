@@ -12,7 +12,7 @@ modes of the system:
   resumable simulation (opened lazily or explicitly via
   :meth:`JoinSession.open_stream`), returning a mid-run
   :class:`StreamSnapshot` after each chunk; :meth:`JoinSession.finish`
-  flushes the remaining micro-batch buffers and returns the final
+  drains the simulation and returns the final
   :class:`~repro.core.results.RunResult`.  This is the unbounded/live-stream
   mode the materialised bench layer cannot express: the input need never be
   materialised up front, and progress can be observed between chunks.
@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from repro.api.config import RunConfig
 from repro.api.registry import operators
 from repro.core.mapping import Mapping
-from repro.engine.stream import StreamTuple, TupleBatch, make_tuples
-from repro.engine.task import DataEnvelope, Message, MessageKind
+from repro.engine.stream import StreamTuple, make_tuples
+from repro.engine.task import DataEnvelope, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import GridJoinOperator
@@ -105,17 +105,12 @@ class StreamSnapshot:
 
 
 class _StreamingRun:
-    """State of one incremental run: a live simulator plus the source-side
-    micro-batcher.
+    """State of one incremental run: a live simulator plus the source feed.
 
-    The batcher replicates :meth:`ArrivalSchedule.batched_arrivals` exactly —
-    per-tuple destination choice from ``Random(seed)`` (the same draw sequence
-    as the materialised ``arrival_order`` path), per-destination coalescing of
-    up to ``batch_size`` consecutive arrivals, emission at the newest member's
-    arrival time — but keeps partial buffers alive *across* pushes, so the
-    batch boundaries a workload sees are identical whether it arrives in one
-    materialised schedule or in arbitrary chunks.  Only :meth:`finish` flushes
-    partial buffers (at end-of-stream, like the materialised path).
+    Each pushed tuple becomes one SOURCE message at its arrival time, with
+    the reshuffler drawn from ``Random(seed)`` — the same draw sequence as the
+    materialised ``arrival_order`` path, so a workload sees identical arrivals
+    whether it comes in one materialised schedule or in arbitrary chunks.
     """
 
     def __init__(self, operator: "GridJoinOperator", collect_outputs: bool = False) -> None:
@@ -123,7 +118,6 @@ class _StreamingRun:
         self.simulator, self.topology = operator.build_execution(
             collect_outputs=collect_outputs
         )
-        self.batch_size = operator.batch_size
         self.inter_arrival = operator.config.inter_arrival
         # Destination picking mirrors GridJoinOperator.run(arrival_order=...):
         # a fresh Random(seed) used exclusively for reshuffler choice.
@@ -133,9 +127,7 @@ class _StreamingRun:
         # and destinations interleaved from one rng, which an incremental
         # feed cannot reproduce; pre-salted StreamTuples bypass this).
         self._salt_rng = random.Random(f"repro-stream-salts-{operator.seed}")
-        self._buffers: dict[str, list[StreamTuple]] = {}
         self._pushed = 0
-        self._end_time = 0.0
         self.finished = False
 
     # ------------------------------------------------------------- ingestion
@@ -198,35 +190,12 @@ class _StreamingRun:
     def _ingest(self, item: StreamTuple) -> None:
         arrival_time = self._pushed * self.inter_arrival
         item.arrival_time = arrival_time
-        self._end_time = arrival_time
         self._pushed += 1
         destination = self._route_rng.choice(self.topology.reshuffler_names)
-        if self.batch_size > 1:
-            buffer = self._buffers.setdefault(destination, [])
-            buffer.append(item)
-            if len(buffer) >= self.batch_size:
-                self._emit(destination, self._buffers.pop(destination), arrival_time)
-        else:
-            self.simulator.schedule_data(
-                arrival_time,
-                destination,
-                DataEnvelope(
-                    MessageKind.SOURCE, "__source__", item, 0, item.size
-                ),
-            )
-
-    def _emit(self, destination: str, members: list[StreamTuple], emit_time: float) -> None:
-        batch = TupleBatch(items=members)
         self.simulator.schedule_data(
-            emit_time,
+            arrival_time,
             destination,
-            Message(
-                kind=MessageKind.BATCH,
-                sender="__source__",
-                payload=batch,
-                size=batch.size,
-                meta={"inner": MessageKind.SOURCE},
-            ),
+            DataEnvelope(MessageKind.SOURCE, "__source__", item, 0, item.size),
         )
 
     # ----------------------------------------------------------- observation
@@ -255,11 +224,6 @@ class _StreamingRun:
     def finish(self) -> "RunResult":
         if self.finished:
             raise RuntimeError("streaming session already finished")
-        # End-of-stream: flush partially filled micro-batches at the last
-        # arrival time, exactly like ArrivalSchedule.batched_arrivals.
-        for destination, buffer in self._buffers.items():
-            self._emit(destination, buffer, self._end_time)
-        self._buffers.clear()
         self.simulator.run()
         self.finished = True
         return self.operator.collect_result(self.simulator, self.topology, self._pushed)
@@ -423,7 +387,7 @@ class JoinSession:
         return self._stream.snapshot()
 
     def finish(self) -> "RunResult":
-        """Flush pending micro-batches, drain the simulation, close the stream."""
+        """Drain the simulation, close the stream and return the final result."""
         if self._stream is None:
             raise RuntimeError("no streaming run is open")
         stream, self._stream = self._stream, None

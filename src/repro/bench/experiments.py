@@ -13,7 +13,6 @@ roughly what factor, and where the crossovers fall.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 
 from repro.api import JoinSession, RunConfig, crash_after_events, drop
@@ -165,7 +164,7 @@ def _per_query_runs(
     operators: tuple[str, ...] = ("StaticMid", "Dynamic", "StaticOpt"),
     include_shj: bool = False,
     inter_arrival: float = 0.0,
-    batching: str = "fixed",
+    batching: str = "per_tuple",
 ):
     queries = queries or FIGURE_QUERIES
     runs: dict[str, dict[str, object]] = {}
@@ -230,7 +229,7 @@ def fig7a_throughput(
     machines: int = 16,
     seed: int = 1,
     queries: list[str] | None = None,
-    batching: str = "fixed",
+    batching: str = "per_tuple",
 ) -> ExperimentReport:
     """Fig. 7a: average operator throughput for every query and operator.
 
@@ -256,7 +255,7 @@ def fig7a_throughput(
 
 def _batch_trace(result) -> str:
     """Compact drained-run size histogram of one run ("size*count ..."), or
-    "-" on the fixed plane.  Reported next to latency so batching-induced
+    "-" on the per-tuple plane.  Reported next to latency so batching-induced
     latency artefacts are visible in review: a trace full of deep runs under
     a paced workload would mean the controller is queueing tuples it should
     process immediately."""
@@ -271,7 +270,7 @@ def fig7b_latency(
     machines: int = 16,
     seed: int = 1,
     queries: list[str] | None = None,
-    batching: str = "fixed",
+    batching: str = "per_tuple",
 ) -> ExperimentReport:
     """Fig. 7b: average tuple latency for every query and operator.
 
@@ -505,63 +504,6 @@ def fig8cd_fluctuations(
 
 
 # ---------------------------------------------------------------------------
-# Data-plane batching — micro-benchmark of the micro-batched message path
-# ---------------------------------------------------------------------------
-
-def dataplane_batching(
-    scale: float = 0.4,
-    machines: int = 16,
-    seed: int = 1,
-    batch_sizes: tuple[int, ...] = (1, 8, 64, 256),
-    query_name: str = "EQ5",
-    skew: str = "Z4",
-) -> ExperimentReport:
-    """Sweep the data-plane micro-batch size and report simulator efficiency.
-
-    For each ``batch_size`` the Dynamic operator runs the same workload; the
-    report gives the simulator events processed, the wall-clock time of the
-    run, and the derived events/sec and tuples/sec rates.  Output counts must
-    be identical across the sweep — batching is a transport optimisation.
-    """
-    config = ExperimentConfig(machines=machines, scale=scale, skew=skew, seed=seed)
-    query = build_query(query_name, config)
-    rows = []
-    baseline_outputs: int | None = None
-    for batch_size in batch_sizes:
-        config.batch_size = batch_size
-        start = time.perf_counter()
-        result = run_single("Dynamic", query, config)
-        wall = time.perf_counter() - start
-        if baseline_outputs is None:
-            baseline_outputs = result.output_count
-        elif result.output_count != baseline_outputs:
-            raise AssertionError(
-                f"batch_size={batch_size} changed the output count "
-                f"({result.output_count} != {baseline_outputs})"
-            )
-        tuples = len(query.left_records) + len(query.right_records)
-        rows.append(
-            {
-                "batch_size": batch_size,
-                "events_processed": result.events_processed,
-                "wall_seconds": round(wall, 4),
-                "events_per_sec": round(result.events_processed / wall) if wall > 0 else 0,
-                "tuples_per_sec": round(tuples / wall) if wall > 0 else 0,
-                "output_count": result.output_count,
-                "migrations": result.migrations,
-            }
-        )
-    text = format_table(
-        rows,
-        title=(
-            f"Data-plane batching sweep — {query_name}@{skew}, "
-            f"{machines} joiners (Dynamic)"
-        ),
-    )
-    return ExperimentReport(name="dataplane_batching", rows=rows, text=text)
-
-
-# ---------------------------------------------------------------------------
 # Ablations — design choices called out in DESIGN.md
 # ---------------------------------------------------------------------------
 
@@ -759,13 +701,10 @@ def lossy_wire_sweep(
     rows = []
     baseline = None
     for rate in drop_rates:
-        # Per-tuple batching: one frame per tuple keeps per-link sequence
-        # numbers dense enough for the stride schedule to approximate the
-        # target loss rate.
         run_config = RunConfig(
             machines=machines,
             seed=seed,
-            batch_size=1,
+            batching="per_tuple",
             network_faults=_uniform_drop_schedule(machines, rate, seed),
         )
         result = JoinSession(query, config=run_config).run()

@@ -34,12 +34,12 @@ class RunResult:
         max_competitive_ratio: largest observed ILF/ILF* ratio (Fig. 8c).
         final_mapping: the (n, m) mapping in force when the run ended.
         events_processed: simulator handler invocations during the run — the
-            data-plane overhead a larger batch size amortises away.
-        batch_size: micro-batch size the run used (1 = per-tuple data plane).
-        batching: batching plane the run used ("fixed" or "adaptive").
+            data-plane overhead receiver draining amortises away.
+        batching: data plane the run used ("adaptive" or "per_tuple"; a
+            blocking run always reports "per_tuple").
         batch_histogram: drained-run size → count on the adaptive plane
-            (None on the fixed plane) — the batch-size trace showing how the
-            controller sized runs under the workload's backlog.
+            (None on the per-tuple plane) — the run-size trace showing how
+            the controller sized runs under the workload's backlog.
         heap_events: events popped from the simulator's global heap —
             deliveries, machine ticks, control messages and fault-plane
             actions.  Contrast with ``events_processed`` (handler
@@ -51,8 +51,8 @@ class RunResult:
         machine_busy: per-machine ``(busy_until, busy_time)`` — the per-task
             virtual times; bit-identical across the adaptive/per-tuple planes.
         probe_work: total joiner probe work units charged (index candidates
-            inspected, floored at one per probe) — exact across batch sizes
-            and probe engines, pinned by the batching-equivalence tests.
+            inspected, floored at one per probe) — exact across data planes
+            and probe engines, pinned by the conformance suites.
         ilf_series: (fraction of input processed, max per-machine ILF) samples.
         ratio_series: (tuples processed, ILF/ILF*) samples.
         cardinality_series: (tuples processed, |R|/|S|) samples.
@@ -101,8 +101,7 @@ class RunResult:
     max_competitive_ratio: float
     final_mapping: Mapping
     events_processed: int = 0
-    batch_size: int = 1
-    batching: str = "fixed"
+    batching: str = "adaptive"
     batch_histogram: dict[int, int] | None = None
     heap_events: int = 0
     migration_events: list[tuple] = field(default_factory=list)

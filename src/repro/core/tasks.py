@@ -10,6 +10,7 @@ of Algorithm 3.  The joiners run a local non-blocking join wrapped in the
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 from repro.api.registry import probe_engines
@@ -19,51 +20,10 @@ from repro.core.mapping import GridPlacement, Mapping
 from repro.core.migration import MigrationPlan, plan_migration
 from repro.engine.columns import np
 from repro.engine.network import TrafficCategory
-from repro.engine.stream import StreamTuple, TupleBatch
+from repro.engine.stream import StreamTuple
 from repro.engine.task import Context, DataEnvelope, Message, MessageKind, Task
 from repro.joins.local import make_local_joiner
 from repro.joins.predicates import JoinPredicate
-
-#: Per-destination send groups accumulated while one handler invocation
-#: processes a micro-batch.  Reshufflers key groups by (machine, epoch) so a
-#: batch is split at the epoch edge; joiner migration groups key by machine.
-RouteGroups = dict[tuple[int, int], list[StreamTuple]]
-
-
-def _envelope(
-    items: list[StreamTuple],
-    inner: MessageKind,
-    sender: str,
-    epoch: int = 0,
-    meta: dict | None = None,
-) -> Message:
-    """Wrap grouped tuples for one destination: a plain per-tuple message for
-    a singleton, a BATCH carrying a :class:`TupleBatch` otherwise."""
-    if len(items) == 1:
-        if not meta:
-            # Meta-free singletons (routed DATA) ride the slim envelope.
-            return DataEnvelope(inner, sender, items[0], epoch, items[0].size)
-        return Message(
-            kind=inner,
-            sender=sender,
-            payload=items[0],
-            epoch=epoch,
-            size=items[0].size,
-            meta=dict(meta),
-        )
-    batch = TupleBatch(items=items)
-    full_meta = {"inner": inner}
-    if meta:
-        full_meta.update(meta)
-    return Message(
-        kind=MessageKind.BATCH,
-        sender=sender,
-        payload=batch,
-        epoch=epoch,
-        size=batch.size,
-        meta=full_meta,
-    )
-
 
 @dataclass
 class Topology:
@@ -130,8 +90,6 @@ class ReshufflerTask(Task):
         sample_every: record ILF / ratio samples every this many tuples seen
             by this task (controller only).
         expected_inputs: total number of input tuples (for progress metrics).
-        batch_size: size of the micro-batches of the batched data plane;
-            ``1`` selects the legacy per-tuple message path.
     """
 
     def __init__(
@@ -145,7 +103,6 @@ class ReshufflerTask(Task):
         blocking: bool = False,
         sample_every: int = 200,
         expected_inputs: int = 0,
-        batch_size: int = 1,
     ) -> None:
         super().__init__(name, machine_id)
         self.topology = topology
@@ -155,7 +112,6 @@ class ReshufflerTask(Task):
         self.blocking = blocking
         self.sample_every = max(1, sample_every)
         self.expected_inputs = expected_inputs
-        self.batch_size = max(1, batch_size)
 
         self.epoch = 0
         self.migration_in_flight = False
@@ -176,9 +132,7 @@ class ReshufflerTask(Task):
         return self.controller is not None
 
     def handle(self, message: Message, ctx: Context) -> None:
-        if message.kind is MessageKind.BATCH:
-            self._handle_source_batch(message, ctx)
-        elif message.kind is MessageKind.SOURCE:
+        if message.kind is MessageKind.SOURCE:
             self._handle_source(message.payload, ctx)
         elif message.kind is MessageKind.MAPPING_CHANGE:
             self._handle_mapping_change(message, ctx)
@@ -190,22 +144,6 @@ class ReshufflerTask(Task):
             raise ValueError(f"reshuffler {self.name} cannot handle {message.kind}")
         if self._journal is not None:
             self._journal.maybe_snapshot(self)
-
-    def _handle_source_batch(self, message: Message, ctx: Context) -> None:
-        if message.meta.get("inner") is not MessageKind.SOURCE:
-            raise ValueError(
-                f"reshuffler {self.name} can only handle SOURCE batches, "
-                f"got inner kind {message.meta.get('inner')}"
-            )
-        routes: RouteGroups = {}
-        # Destination-grouped emission: the mapping and epoch are fixed for
-        # the whole invocation, so each (side, partition) resolves its grid
-        # placement and per-destination route lists once; subsequent members
-        # of the same partition append straight into those lists.
-        dest_cache: dict = {}
-        for item in message.payload:
-            self._handle_source(item, ctx, routes, dest_cache)
-        self._flush_routes(routes, ctx)
 
     # ---------------------------------------------------- adaptive data plane
 
@@ -270,7 +208,7 @@ class ReshufflerTask(Task):
             record_input(ctx.now)
             if is_controller:
                 self._controller_duties(item, is_left, ctx)
-            route(item, is_left, ctx, None, dest_cache)
+            route(item, is_left, ctx, dest_cache)
             # Inline Context.boundary: commit the member's charge to the busy
             # chain with exactly the per-tuple occupy arithmetic.
             end = ctx.now + ctx.charged
@@ -297,26 +235,14 @@ class ReshufflerTask(Task):
             self._journal.maybe_snapshot(self)
         return count
 
-    def _handle_source(
-        self,
-        item: StreamTuple,
-        ctx: Context,
-        routes: RouteGroups | None = None,
-        dest_cache: dict | None = None,
-    ) -> None:
+    def _handle_source(self, item: StreamTuple, ctx: Context) -> None:
         ctx.charge(ctx.machine.cost_model.reshuffle_cost if ctx.machine else 0.0)
         if self.blocking and self.buffering:
             self._buffer.append(item)
             return
-        self._process_tuple(item, ctx, routes, dest_cache)
+        self._process_tuple(item, ctx)
 
-    def _process_tuple(
-        self,
-        item: StreamTuple,
-        ctx: Context,
-        routes: RouteGroups | None = None,
-        dest_cache: dict | None = None,
-    ) -> None:
+    def _process_tuple(self, item: StreamTuple, ctx: Context) -> None:
         is_left = item.relation == self.topology.left_relation
         self._seen += 1
         ctx.metrics.record_input_processed(ctx.now)
@@ -324,7 +250,7 @@ class ReshufflerTask(Task):
         if self.is_controller:
             self._controller_duties(item, is_left, ctx)
 
-        self._route(item, is_left, ctx, routes, dest_cache)
+        self._route(item, is_left, ctx)
 
     def _controller_duties(self, item: StreamTuple, is_left: bool, ctx: Context) -> None:
         assert self.controller is not None
@@ -427,13 +353,9 @@ class ReshufflerTask(Task):
     def _handle_resume(self, ctx: Context) -> None:
         self.buffering = False
         pending, self._buffer = self._buffer, []
-        routes: RouteGroups | None = {} if self.batch_size > 1 else None
-        dest_cache: dict | None = {} if routes is not None else None
         for item in pending:
             ctx.charge(ctx.machine.cost_model.reshuffle_cost if ctx.machine else 0.0)
-            self._process_tuple(item, ctx, routes, dest_cache)
-        if routes is not None:
-            self._flush_routes(routes, ctx)
+            self._process_tuple(item, ctx)
 
     # ---------------------------------------------------------------- routing
 
@@ -442,19 +364,15 @@ class ReshufflerTask(Task):
         item: StreamTuple,
         is_left: bool,
         ctx: Context,
-        routes: RouteGroups | None = None,
         dest_cache: dict | None = None,
     ) -> None:
         # Tag with the current epoch; the common case (tag already current —
         # epoch 0 before any migration) reuses the tuple object outright.
         tagged = item if item.epoch == self.epoch else item.with_epoch(self.epoch)
         if dest_cache is not None:
-            # Destination-grouped routing: the caller guarantees a fixed
-            # mapping/epoch for its whole invocation, so each (side,
-            # partition) resolves its grid placement once.  With ``routes``
-            # the cache holds the per-destination route lists themselves
-            # (fixed-plane micro-batches); without it, the destination ids
-            # for per-tuple sends (adaptive-plane drained runs).
+            # Destination-grouped routing of a drained run: the caller
+            # guarantees a fixed mapping/epoch for its whole invocation, so
+            # each (side, partition) resolves its joiner names once.
             key = (is_left, item.partition(self.mapping.n if is_left else self.mapping.m))
             cached = dest_cache.get(key)
             if cached is None:
@@ -464,18 +382,8 @@ class ReshufflerTask(Task):
                     if is_left
                     else placement.machines_for_col(key[1])
                 )
-                if routes is not None:
-                    cached = [
-                        routes.setdefault((machine_id, self.epoch), [])
-                        for machine_id in destinations
-                    ]
-                else:
-                    cached = [self.topology.joiner(m) for m in destinations]
+                cached = [self.topology.joiner(m) for m in destinations]
                 dest_cache[key] = cached
-            if routes is not None:
-                for group in cached:
-                    group.append(tagged)
-                return
             # One immutable DATA envelope shared by every destination of the
             # fan-out: receivers never mutate messages, so replicating the
             # envelope object per destination buys nothing.
@@ -491,10 +399,6 @@ class ReshufflerTask(Task):
         else:
             col = item.partition(self.mapping.m)
             destinations = placement.machines_for_col(col)
-        if routes is not None:
-            for machine_id in destinations:
-                routes.setdefault((machine_id, self.epoch), []).append(tagged)
-            return
         message = DataEnvelope(
             MessageKind.DATA, self.name, tagged, self.epoch, item.size
         )
@@ -505,19 +409,26 @@ class ReshufflerTask(Task):
             category=TrafficCategory.ROUTING,
         )
 
-    def _flush_routes(self, routes: RouteGroups, ctx: Context) -> None:
-        """Send the per-(joiner, epoch) groups gathered from one micro-batch.
+def stable_hash(key) -> int:
+    """Hash of an equi-join key that is the same in every process.
 
-        Grouping by epoch as well as destination means a mapping change
-        arriving mid-stream splits batches at the epoch edge, so every BATCH
-        message carries a single, exact epoch tag for the protocol.
-        """
-        for (machine_id, epoch), items in routes.items():
-            ctx.send(
-                self.topology.joiner(machine_id),
-                _envelope(items, MessageKind.DATA, self.name, epoch=epoch),
-                category=TrafficCategory.ROUTING,
-            )
+    ``hash`` salts ``str`` and ``bytes`` per process (``PYTHONHASHSEED``) and
+    hashes ``None`` and NaN by address, so routing on it would not reproduce
+    a run across processes.  Numbers keep ``hash(key)``, which CPython derives
+    from the value alone (and ``hash(1) == hash(1.0)``, as equality needs);
+    strings and bytes hash through CRC-32; tuples combine their parts.
+    """
+    if key.__class__ is int:
+        return hash(key)
+    if isinstance(key, str):
+        key = key.encode("utf-8", "surrogatepass")
+    if isinstance(key, bytes):
+        return zlib.crc32(key)
+    if isinstance(key, tuple):
+        return hash(tuple(stable_hash(part) for part in key))
+    if key is None or key != key:
+        return 0
+    return hash(key)
 
 
 class HashReshufflerTask(ReshufflerTask):
@@ -535,7 +446,6 @@ class HashReshufflerTask(ReshufflerTask):
         item: StreamTuple,
         is_left: bool,
         ctx: Context,
-        routes: RouteGroups | None = None,
         dest_cache: dict | None = None,
     ) -> None:
         predicate = self.topology.predicate
@@ -544,11 +454,8 @@ class HashReshufflerTask(ReshufflerTask):
         key = (
             predicate.left_key(item.record) if is_left else predicate.right_key(item.record)
         )
-        machine_id = hash(key) % self.topology.machines
+        machine_id = stable_hash(key) % self.topology.machines
         tagged = item if item.epoch == self.epoch else item.with_epoch(self.epoch)
-        if routes is not None:
-            routes.setdefault((machine_id, self.epoch), []).append(tagged)
-            return
         ctx.send(
             self.topology.joiner(machine_id),
             DataEnvelope(MessageKind.DATA, self.name, tagged, self.epoch, item.size),
@@ -560,13 +467,10 @@ class JoinerTask(Task):
     """A joiner: local non-blocking join wrapped in the epoch protocol.
 
     Args:
-        probe_engine: name of a registered probe engine.  Engines advertising
-            ``batch_aware`` (the built-in ``"vectorized"`` default) route DATA
-            batches through ``EpochJoinerState.handle_data_batch`` →
-            ``LocalJoiner.probe_batch``; others (the built-in ``"scalar"``
-            reference) keep the per-member dispatch with full per-candidate
-            predicate re-validation, used by differential tests and the
-            probe-engine benchmarks.
+        probe_engine: name of a registered probe engine.  Drained runs go
+            through ``EpochJoinerState.handle_data_batch`` →
+            ``LocalJoiner.probe_batch`` of that engine; engines advertising
+            ``bulk_commit`` also commit a run's costs with NumPy chains.
     """
 
     def __init__(
@@ -575,7 +479,6 @@ class JoinerTask(Task):
         machine_id: int,
         topology: Topology,
         migration_rate_factor: float = 2.0,
-        batch_size: int = 1,
         probe_engine: str = "vectorized",
     ) -> None:
         super().__init__(name, machine_id)
@@ -593,10 +496,7 @@ class JoinerTask(Task):
             left_relation=topology.left_relation,
         )
         self.migration_rate_factor = migration_rate_factor
-        self.batch_size = max(1, batch_size)
-        engine_spec = probe_engines.get(probe_engine)
-        self.batch_aware = engine_spec.batch_aware
-        self.bulk_commit = engine_spec.bulk_commit
+        self.bulk_commit = probe_engines.get(probe_engine).bulk_commit
         self._ends_sent_for: int | None = None
 
     #: Recovery journal (fault-tolerant plane only; see repro.core.recovery).
@@ -612,9 +512,7 @@ class JoinerTask(Task):
 
     def handle(self, message: Message, ctx: Context) -> None:
         journal = self._journal
-        if message.kind is MessageKind.BATCH:
-            self._handle_batch(message, ctx)
-        elif message.kind is MessageKind.DATA:
+        if message.kind is MessageKind.DATA:
             if journal is not None:
                 journal.log(("data", message.payload))
             actions = self.state.handle_data(message.payload)
@@ -854,46 +752,6 @@ class JoinerTask(Task):
         # exact; the floor of one unit per member keeps it nonzero.
         ctx.metrics.record_probe_work(float(works.sum()))
 
-    def _handle_batch(self, message: Message, ctx: Context) -> None:
-        """Process every member of a routed or migrated micro-batch.
-
-        Members are handled in order within one simulator event; costs are
-        charged per tuple, so outputs emitted by later members carry the
-        cumulative charge of earlier ones (per-tuple cost attribution).  On
-        the batch-aware DATA path the bookkeeping is aggregated over the
-        whole batch (:meth:`_apply_data_batch`) — charged virtual times stay
-        bit-identical to the per-member path.  Relocations produced along the
-        way are regrouped per destination and flushed as batches at the end
-        of the invocation.
-        """
-        inner = message.meta.get("inner")
-        sink: RouteGroups = {}
-        apply = self._apply
-        journal = self._journal
-        if inner is MessageKind.DATA:
-            if journal is not None:
-                for item in message.payload:
-                    journal.log(("data", item))
-            if self.batch_aware:
-                items = list(message.payload)
-                self._apply_data_batch(items, self.state.handle_data_batch(items), ctx, sink)
-            else:
-                handle_data = self.state.handle_data
-                for item in message.payload:
-                    apply(handle_data(item), item, ctx, migrated=False, sink=sink)
-        elif inner is MessageKind.MIGRATION:
-            handle_migrated = self.state.handle_migrated
-            for item in message.payload:
-                if journal is not None:
-                    journal.log(("mu", item))
-                apply(handle_migrated(item), item, ctx, migrated=True, sink=sink)
-        else:
-            raise ValueError(
-                f"joiner {self.name} can only handle DATA or MIGRATION batches, "
-                f"got inner kind {inner}"
-            )
-        self._flush_migrations(sink, ctx)
-
     def _handle_signal(self, message: Message, ctx: Context) -> None:
         epoch = message.meta["epoch"]
         new_mapping = Mapping(*message.meta["new_mapping"])
@@ -913,14 +771,9 @@ class JoinerTask(Task):
             )
         migrations, replayed = self.state.handle_signal(epoch, plan, reshuffler=message.sender)
         ctx.charge(0.01)
-        sink: RouteGroups | None = {} if self.batch_size > 1 else None
-        self._send_migrations(migrations, ctx, sink)
+        self._send_migrations(migrations, ctx)
         for replayed_item, actions in replayed:
-            self._apply(actions, replayed_item, ctx, migrated=False, charge_receive=False, sink=sink)
-        if sink is not None:
-            # Flush relocations before any MIGRATION_END below: link FIFO then
-            # guarantees receivers see every migrated tuple before the marker.
-            self._flush_migrations(sink, ctx)
+            self._apply(actions, replayed_item, ctx, migrated=False, charge_receive=False)
         if self.state.phase is JoinerPhase.DRAINED and self._ends_sent_for != epoch:
             self._ends_sent_for = epoch
             if self._journal is not None:
@@ -962,19 +815,11 @@ class JoinerTask(Task):
 
     # -------------------------------------------------------------- internals
 
-    def _send_migrations(
-        self,
-        migrations: list[tuple[int, StreamTuple]],
-        ctx: Context,
-        sink: RouteGroups | None = None,
-    ) -> None:
+    def _send_migrations(self, migrations: list[tuple[int, StreamTuple]], ctx: Context) -> None:
         cost_model = ctx.machine.cost_model if ctx.machine else None
         for destination, item in migrations:
             if cost_model is not None:
                 ctx.charge(cost_model.reshuffle_cost)
-            if sink is not None:
-                sink.setdefault((destination, 0), []).append(item)
-                continue
             ctx.send(
                 self.topology.joiner(destination),
                 Message(
@@ -987,135 +832,6 @@ class JoinerTask(Task):
                 category=TrafficCategory.MIGRATION,
             )
 
-    def _flush_migrations(self, sink: RouteGroups, ctx: Context) -> None:
-        """Send relocations gathered during one handler invocation, batched
-        per destination joiner (the epoch component of the key is unused —
-        µ tuples are interpreted via the receiver's migration plan)."""
-        for (destination, _epoch), items in sink.items():
-            ctx.send(
-                self.topology.joiner(destination),
-                _envelope(
-                    items,
-                    MessageKind.MIGRATION,
-                    self.name,
-                    meta={"sender_machine": self.machine_id},
-                ),
-                category=TrafficCategory.MIGRATION,
-            )
-
-    def _apply_data_batch(
-        self,
-        items: list[StreamTuple],
-        actions_list: list[TupleActions],
-        ctx: Context,
-        sink: RouteGroups | None,
-    ) -> None:
-        """Apply one micro-batch of routed-data actions with aggregated bookkeeping.
-
-        Semantically identical to calling :meth:`_apply` per member
-        (``migrated=False``): per-member cost attribution is preserved — each
-        member's cost is computed with the same float arithmetic and added to
-        the running charge in the same order, so outputs of later members
-        still carry the cumulative charge of earlier ones and virtual times
-        are bit-identical (pinned by the scalar-engine equality assertions in
-        ``test_batching_equivalence.py``).  What is aggregated is the
-        *bookkeeping overhead*: cost-model fields and machine methods are
-        resolved once per batch instead of per member, and probe work is
-        recorded in one metrics call (probe-work units are integer-valued, so
-        the deferred sum is exact).
-        """
-        machine = ctx.machine
-        if machine is None:
-            for item, actions in zip(items, actions_list):
-                self._apply(actions, item, ctx, migrated=False, sink=sink)
-            return
-        cost_model = machine.cost_model
-        if (
-            self.bulk_commit
-            and cost_model.memory_capacity is None
-            and all(
-                actions.stored and not actions.migrate_to for actions in actions_list
-            )
-        ):
-            self._bulk_commit_batch(items, actions_list, ctx, machine)
-            return
-        receive_cost = cost_model.receive_cost
-        store_cost = cost_model.store_cost
-        probe_cost = cost_model.probe_cost
-        match_cost = cost_model.match_cost
-        storage_factor = machine.storage_factor
-        add_stored = machine.add_stored
-        emit_outputs = ctx.emit_outputs
-        probe_total = 0.0
-        for item, actions in zip(items, actions_list):
-            work = actions.probe_work
-            probe_total += work
-            # Same per-member arithmetic and accumulation order as _apply.
-            factor = storage_factor()
-            cost = 0.0
-            cost += receive_cost
-            if actions.stored:
-                cost += store_cost * factor
-            cost += work * probe_cost * factor
-            matches = actions.matches
-            cost += len(matches) * match_cost
-            ctx.charged += cost
-            if actions.stored:
-                add_stored(item.size)
-            if matches:
-                emit_outputs(matches)
-            if actions.migrate_to:
-                self._send_migrations(actions.migrate_to, ctx, sink)
-        if probe_total:
-            ctx.metrics.record_probe_work(probe_total)
-
-    def _bulk_commit_batch(self, items, actions_list, ctx: Context, machine) -> None:
-        """Vectorised charge accumulation of one all-stored routed batch.
-
-        The :meth:`_apply_data_batch` member loop as ``np.cumsum`` chains,
-        bit-identical for the same reason as :meth:`_bulk_commit_drained`
-        (strict left folds over the same float64 values; storage factor
-        identically 1.0 — the caller checked the memory budget is unbounded
-        and that no member stores nothing or relocates).  Emission instants
-        are ``ctx.now + charged_i`` with ``charged_i`` walking the scalar
-        charge chain.
-        """
-        n = len(items)
-        cost_model = machine.cost_model
-        base = cost_model.receive_cost + cost_model.store_cost
-        works = np.fromiter(
-            (actions.probe_work for actions in actions_list), np.float64, n
-        )
-        costs = works * cost_model.probe_cost
-        costs += base
-        costs += (
-            np.fromiter((len(actions.matches) for actions in actions_list), np.float64, n)
-            * cost_model.match_cost
-        )
-        chain = np.empty(n + 1, dtype=np.float64)
-        chain[1:] = costs
-        chain[0] = ctx.charged
-        charged = np.cumsum(chain)[1:]
-        ctx.charged = float(charged[-1])
-        out_times = ctx.now + charged
-        sizes = np.fromiter((item.size for item in items), np.float64, n)
-        chain[1:] = sizes
-        chain[0] = machine.stored_size
-        stored_chain = np.cumsum(chain)
-        machine.stored_size = float(stored_chain[-1])
-        machine.peak_stored_size = max(
-            machine.peak_stored_size, float(stored_chain[1:].max())
-        )
-        chain[0] = machine.received_size
-        machine.received_size = float(np.cumsum(chain)[-1])
-        record_outputs = ctx.metrics.record_outputs
-        machine_id = self.machine_id
-        for actions, out_time in zip(actions_list, out_times.tolist()):
-            matches = actions.matches
-            if matches:
-                record_outputs(matches, out_time, machine_id)
-        ctx.metrics.record_probe_work(float(works.sum()))
-
     def _apply(
         self,
         actions: TupleActions,
@@ -1123,7 +839,6 @@ class JoinerTask(Task):
         ctx: Context,
         migrated: bool,
         charge_receive: bool = True,
-        sink: RouteGroups | None = None,
     ) -> None:
         machine = ctx.machine
         cost_model = machine.cost_model if machine else None
@@ -1147,4 +862,4 @@ class JoinerTask(Task):
         if actions.matches:
             ctx.emit_outputs(actions.matches)
         if actions.migrate_to:
-            self._send_migrations(actions.migrate_to, ctx, sink)
+            self._send_migrations(actions.migrate_to, ctx)

@@ -12,11 +12,7 @@ The simulation is deterministic given a seed, which makes every experiment in
 ``benchmarks/`` exactly reproducible.
 """
 
-from repro.engine.batching import (
-    AdaptiveBatchController,
-    BatchController,
-    FixedBatchController,
-)
+from repro.engine.batching import AdaptiveBatchController
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import LatencySample, MetricsCollector
 from repro.engine.network import Network, TrafficCategory
@@ -27,11 +23,9 @@ from repro.engine.task import Context, DataEnvelope, Message, MessageKind, Task
 __all__ = [
     "AdaptiveBatchController",
     "ArrivalSchedule",
-    "BatchController",
     "Context",
     "CostModel",
     "DataEnvelope",
-    "FixedBatchController",
     "LatencySample",
     "Machine",
     "Message",

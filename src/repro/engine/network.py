@@ -36,18 +36,12 @@ class Network:
 
     Attributes:
         cost_model: supplies latency and per-size transfer costs.
-        messages: number of messages sent per category.  A micro-batch counts
-            as one message — the messages/tuples gap is the batching win.
-        tuples: number of logical tuples carried per category (batch members
-            are counted individually).
+        messages: number of messages sent per category.
         volume: total size units transferred per category.
     """
 
     cost_model: CostModel
     messages: dict[TrafficCategory, int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
-    tuples: dict[TrafficCategory, int] = field(
         default_factory=lambda: defaultdict(int)
     )
     volume: dict[TrafficCategory, float] = field(
@@ -62,7 +56,6 @@ class Network:
         size: float,
         category: TrafficCategory,
         now: float,
-        units: int = 1,
     ) -> float:
         """Record a message and return its delivery time.
 
@@ -76,7 +69,6 @@ class Network:
         local = sender == receiver
         if not local:
             self.messages[category] += 1
-            self.tuples[category] += units
             self.volume[category] += size
         latency = self.cost_model.network_latency
         transfer_cost = 0.0 if local else self.cost_model.per_tuple_network_cost * size

@@ -32,11 +32,12 @@ import time as _time
 from collections import deque
 from typing import Iterable
 
+from repro.engine.batching import AdaptiveBatchController
 from repro.engine.faults import UnreachableLinkError
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
 from repro.engine.network import Network, TrafficCategory
-from repro.engine.stream import ArrivalSchedule, StreamTuple, TupleBatch
+from repro.engine.stream import ArrivalSchedule, StreamTuple
 from repro.engine.task import Context, DataEnvelope, Message, MessageKind, Task
 
 #: Control-plane message kinds that are not queued behind the data backlog.
@@ -97,15 +98,14 @@ class _WireFrame:
     sequence number and retransmit state live on this wrapper instead.
     """
 
-    __slots__ = ("link", "seq", "task", "message", "category", "units", "attempts")
+    __slots__ = ("link", "seq", "task", "message", "category", "attempts")
 
-    def __init__(self, link, seq, task, message, category, units) -> None:
+    def __init__(self, link, seq, task, message, category) -> None:
         self.link = link
         self.seq = seq
         self.task = task
         self.message = message
         self.category = category
-        self.units = units
         self.attempts = 0
 
 
@@ -187,20 +187,15 @@ class Simulator:
         # quantity the simulator reports.  Pure stats: never read by handlers.
         self.wall_time = 0.0
 
-    def install_batching(self, controllers: list) -> None:
+    def install_batching(self) -> None:
         """Enable the adaptive data plane: one drain controller per machine.
 
         Each controller sizes the runs of drainable inbox messages (see
         :meth:`repro.engine.task.Task.drain_key`) its machine may coalesce
         per tick.  Without this call every message is handled individually —
-        the fixed/per-tuple planes.
+        the per-tuple reference plane.
         """
-        if len(controllers) != len(self.machines):
-            raise ValueError(
-                f"need one batch controller per machine: got {len(controllers)} "
-                f"for {len(self.machines)} machines"
-            )
-        self._drain_controllers = list(controllers)
+        self._drain_controllers = [AdaptiveBatchController() for _ in self.machines]
 
     def install_faults(self, recovery) -> None:
         """Attach the fault-tolerant plane: a recovery manager plus the
@@ -294,35 +289,16 @@ class Simulator:
     def _schedule_tick(self, machine_id: int, time: float) -> None:
         heapq.heappush(self._queue, (time, _TICK_RANK_BASE + machine_id, machine_id, None))
 
-    def feed_schedule(
-        self, schedule: ArrivalSchedule, destination_picker, batch_size: int = 1
-    ) -> None:
-        """Feed an arrival schedule into the topology.
+    def feed_schedule(self, schedule: ArrivalSchedule, destination_picker) -> None:
+        """Feed an arrival schedule into the topology: one SOURCE message per tuple.
 
         Args:
             schedule: the interleaved input streams.
             destination_picker: callable ``tuple -> task name`` choosing the
                 reshuffler each tuple is sent to (the paper routes incoming
-                tuples to a random reshuffler).
-            batch_size: with ``batch_size=1`` (the legacy data plane) every
-                tuple becomes one SOURCE message; larger values coalesce up to
-                ``batch_size`` consecutive same-destination arrivals into one
-                BATCH message.  The picker is still called once per tuple in
-                arrival order, so routing decisions are identical either way.
+                tuples to a random reshuffler); called once per tuple in
+                arrival order.
         """
-        if batch_size > 1:
-            for emit_time, destination, batch in schedule.batched_arrivals(
-                batch_size, destination_picker
-            ):
-                message = Message(
-                    kind=MessageKind.BATCH,
-                    sender="__source__",
-                    payload=batch,
-                    size=batch.size,
-                    meta={"inner": MessageKind.SOURCE},
-                )
-                self.schedule_data(emit_time, destination, message)
-            return
         tasks = self.tasks
         queue = self._queue
         schedule_rank = self._schedule_rank
@@ -336,8 +312,8 @@ class Simulator:
             )
 
     def schedule_data(self, time: float, destination: str, message) -> None:
-        """Schedule a data-plane message from off-cluster ingestion (batched
-        feeds, streaming pushes).  Identical to :meth:`schedule`."""
+        """Schedule a data-plane message from off-cluster ingestion (streaming
+        pushes).  Identical to :meth:`schedule`."""
         self.schedule(time, destination, message)
 
     def post(
@@ -357,15 +333,13 @@ class Simulator:
             # Unreliable wire installed: on-cluster sends become link-layer
             # frames (off-cluster endpoints — sources, collectors — keep the
             # ideal wire: they model ingest/egress, not the cluster fabric).
-            units = len(message.payload) if isinstance(message.payload, TupleBatch) else 1
-            self._wire_send(sender_machine, dest_task, message, category, departure, units)
+            self._wire_send(sender_machine, dest_task, message, category, departure)
             return
         if sender_machine < 0 or dest_machine < 0:
             delivery = departure + self.cost_model.network_latency
         else:
-            units = len(message.payload) if isinstance(message.payload, TupleBatch) else 1
             delivery = self.network.transfer(
-                sender_machine, dest_machine, message.size, category, departure, units=units
+                sender_machine, dest_machine, message.size, category, departure
             )
         if message.kind in PRIORITY_KINDS and dest_machine >= 0:
             self._pending_priority[dest_machine].append(delivery)
@@ -412,9 +386,7 @@ class Simulator:
                         message,
                     ))
                 else:
-                    self._wire_send(
-                        sender_machine, dest_task, message, category, departure, 1
-                    )
+                    self._wire_send(sender_machine, dest_task, message, category, departure)
             return
         for destination in destinations:
             dest_task = tasks[destination]
@@ -595,7 +567,6 @@ class Simulator:
         message: Message,
         category: TrafficCategory,
         departure: float,
-        units: int,
     ) -> None:
         """Frame one on-cluster send and push it through the fault schedule.
 
@@ -609,14 +580,14 @@ class Simulator:
         dest_machine = dest_task.machine_id
         link = (sender_machine, dest_machine)
         seq, dropped, duplicated, delay_by = wire.on_send(link)
-        frame = _WireFrame(link, seq, dest_task, message, category, units)
+        frame = _WireFrame(link, seq, dest_task, message, category)
         wire.frames_sent += 1
         if dropped or wire.partitioned(sender_machine, dest_machine, departure):
             wire.frames_dropped += 1
             self._wire_arm_retransmit(frame, departure)
             return
         arrival = self.network.transfer(
-            sender_machine, dest_machine, message.size, category, departure, units=units
+            sender_machine, dest_machine, message.size, category, departure
         )
         # The per-send delay is added *after* the link's FIFO clamp, so later
         # sends can genuinely overtake the delayed frame on the wire; the
@@ -626,7 +597,7 @@ class Simulator:
             wire.frames_sent += 1
             wire.frames_duplicated += 1
             dup_arrival = self.network.transfer(
-                sender_machine, dest_machine, message.size, category, departure, units=units
+                sender_machine, dest_machine, message.size, category, departure
             )
             # Same frame object = same sequence number: the copy that loses
             # the race (the fault serial orders the original first at equal
@@ -670,7 +641,7 @@ class Simulator:
             self._wire_arm_retransmit(frame, time)
             return
         arrival = self.network.transfer(
-            link[0], link[1], frame.message.size, frame.category, time, units=frame.units
+            link[0], link[1], frame.message.size, frame.category, time
         )
         self._schedule_fault(arrival, "frame", link[1], frame)
 
@@ -768,7 +739,7 @@ class Simulator:
             else:
                 # Backlog estimate for the drain controller: the inbox length
                 # including the message just popped.
-                limit = self._drain_controllers[machine_id].next_batch_size(1 + len(inbox))
+                limit = self._drain_controllers[machine_id].next_run_size(1 + len(inbox))
                 if limit > 1 and inbox:
                     self._execute_drained(
                         task, message, inbox, limit, key, start, time, machine_id

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 _tuple_ids = itertools.count()
 
@@ -66,30 +66,6 @@ class StreamTuple:
         )
 
 
-@dataclass(slots=True)
-class TupleBatch:
-    """A micro-batch of stream tuples moving through the data plane as one unit.
-
-    Batching is purely a transport optimisation: every member keeps its own
-    arrival time, epoch tag and size, so per-tuple latency and the epoch
-    protocol's semantics are unchanged.  A batch's :attr:`size` is the sum of
-    its members' sizes, which keeps network volume accounting exact.
-    """
-
-    items: list[StreamTuple]
-
-    @property
-    def size(self) -> float:
-        """Total size of the batch (sum of member sizes)."""
-        return sum(item.size for item in self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[StreamTuple]:
-        return iter(self.items)
-
-
 @dataclass
 class ArrivalSchedule:
     """Arrival plan for the two input streams.
@@ -111,38 +87,6 @@ class ArrivalSchedule:
         """Yield ``(arrival_time, tuple)`` pairs."""
         for index, item in enumerate(self.items):
             yield index * self.inter_arrival, item
-
-    def batched_arrivals(
-        self, batch_size: int, destination_picker: Callable[[StreamTuple], str]
-    ) -> Iterator[tuple[float, str, TupleBatch]]:
-        """Coalesce arrivals into per-destination micro-batches.
-
-        The destination of every tuple is chosen individually (in arrival
-        order, so a randomised picker draws exactly the same sequence as the
-        per-tuple path) and up to ``batch_size`` consecutive tuples bound for
-        the same destination are coalesced.  A batch is emitted at the arrival
-        time of its newest member — a batch can never be delivered before its
-        last tuple exists — and partially filled batches are flushed at
-        end-of-stream.  Each member's ``arrival_time`` is stamped here, as
-        :meth:`Simulator.feed_schedule` does on the per-tuple path.
-
-        Yields:
-            ``(emit_time, destination, batch)`` triples.
-        """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        buffers: dict[str, list[StreamTuple]] = {}
-        end_time = 0.0
-        for arrival_time, item in self.arrivals():
-            item.arrival_time = arrival_time
-            end_time = arrival_time
-            destination = destination_picker(item)
-            buffer = buffers.setdefault(destination, [])
-            buffer.append(item)
-            if len(buffer) >= batch_size:
-                yield arrival_time, destination, TupleBatch(items=buffers.pop(destination))
-        for destination, buffer in buffers.items():
-            yield end_time, destination, TupleBatch(items=buffer)
 
 
 def assign_salts(tuples: Iterable[StreamTuple], rng: random.Random) -> list[StreamTuple]:

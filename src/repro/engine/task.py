@@ -37,7 +37,6 @@ class MessageKind(enum.Enum):
     DATA = "data"                      # a stream tuple routed to a joiner
     SOURCE = "source"                  # a stream tuple arriving at a reshuffler
     MIGRATION = "migration"            # a relocated tuple during migration
-    BATCH = "batch"                    # a TupleBatch; meta["inner"] is the member kind
     MIGRATION_END = "migration_end"    # sender finished relocating state to receiver
     MAPPING_CHANGE = "mapping_change"  # controller -> reshufflers: new mapping/epoch
     EPOCH_SIGNAL = "epoch_signal"      # reshuffler -> joiners: epoch change notice
@@ -53,15 +52,12 @@ class Message:
     Attributes:
         kind: message type.
         sender: name of the sending task.
-        payload: a :class:`StreamTuple` for data/migration messages, a
-            :class:`~repro.engine.stream.TupleBatch` for BATCH messages, or an
+        payload: a :class:`StreamTuple` for data/migration messages, or an
             arbitrary structure for control messages.
         epoch: epoch tag (meaningful for data, migration and control traffic).
-        size: size units used for network accounting.  For BATCH messages this
-            is the sum of the member sizes, so volume accounting stays exact.
+        size: size units used for network accounting.
         meta: extra key/value context (e.g. the new mapping of a
-            MAPPING_CHANGE message, or ``"inner"`` — the per-member
-            :class:`MessageKind` — of a BATCH message).
+            MAPPING_CHANGE message).
     """
 
     kind: MessageKind
@@ -85,8 +81,8 @@ class DataEnvelope:
     read-only empty ``meta``), but without the dataclass machinery and —
     crucially — without allocating a fresh ``meta`` dict per tuple: on the
     per-tuple wire every input tuple becomes at least one envelope, so the
-    saved allocation is paid once per tuple per hop.  Control-plane and batch
-    messages (which do carry meta) keep using :class:`Message`.
+    saved allocation is paid once per tuple per hop.  Control-plane and
+    migration messages (which do carry meta) keep using :class:`Message`.
     """
 
     __slots__ = ("kind", "sender", "payload", "epoch", "size")

@@ -423,7 +423,6 @@ register_probe_engine(
     "columnar",
     ProbeEngine(
         name="columnar",
-        batch_aware=True,
         exact_key_fast_path=True,
         probe_batch=_columnar_probe_batch,
         index_factory=make_columnar_index,

@@ -10,11 +10,10 @@ the CPU work a probe costs.
 
 ``insert`` and ``probe`` return *work units* (number of candidates touched)
 so that the simulation engine can charge realistic, predicate-dependent CPU
-costs.  :meth:`LocalJoiner.probe_batch` is the batch-aware engine: it
-inserts+probes an entire micro-batch symmetrically — each member joins
-against everything stored before it, including earlier batch members — while
-probing the pre-batch index state in one grouped (hash) or sort-merge
-(ordered) pass.
+costs.  :meth:`LocalJoiner.probe_batch` inserts+probes a whole drained run
+symmetrically — each member joins against everything stored before it,
+including earlier run members — while probing the pre-run index state in one
+grouped (hash) or sort-merge (ordered) pass.
 
 Probe engines are pluggable through the
 :data:`repro.api.registry.probe_engines` registry; two ship built in:
@@ -68,9 +67,6 @@ class ProbeEngine:
 
     Attributes:
         name: registry name of the engine.
-        batch_aware: whether joiner tasks should route NORMAL-phase DATA
-            batches through :meth:`EpochJoinerState.handle_data_batch` →
-            :meth:`LocalJoiner.probe_batch` (False keeps per-member dispatch).
         exact_key_fast_path: whether candidates the index already decides —
             exact-key hash buckets, and range windows of band predicates
             advertising ``range_complete`` — may skip per-pair re-validation
@@ -88,15 +84,14 @@ class ProbeEngine:
             the choice lists — but joiner/config construction raises an eager
             error when the extra is missing.
         bulk_commit: whether joiner tasks may replace the per-member Python
-            cost/busy accumulation of a batch with the vectorised
+            cost/busy accumulation of a drained run with the vectorised
             ``np.cumsum`` chain (``JoinerTask`` gates it further on the
             conditions that make the chain provably bit-identical: unbounded
-            memory, every member stored, no relocations).  Only meaningful
-            with ``batch_aware`` and a NumPy-backed engine.
+            memory, every member stored).  Only meaningful with a
+            NumPy-backed engine.
     """
 
     name: str
-    batch_aware: bool
     exact_key_fast_path: bool
     probe_batch: Callable[["LocalJoiner", Sequence[StreamTuple]], list]
     index_factory: Callable[[str, Callable | None], JoinIndex] | None = None
@@ -414,7 +409,7 @@ class LocalJoiner:
     def probe_batch(
         self, items: Sequence[StreamTuple]
     ) -> list[tuple[list[StreamTuple], float]]:
-        """Symmetrically insert+probe a whole micro-batch.
+        """Symmetrically insert+probe a whole drained run.
 
         Semantically equivalent to, for each member in order: ``probe(member)``
         then ``insert(member)`` — every member joins against everything stored
@@ -639,7 +634,6 @@ register_probe_engine(
     "vectorized",
     ProbeEngine(
         name="vectorized",
-        batch_aware=True,
         exact_key_fast_path=True,
         probe_batch=_vectorized_probe_batch,
     ),
@@ -648,7 +642,6 @@ register_probe_engine(
     "scalar",
     ProbeEngine(
         name="scalar",
-        batch_aware=False,
         exact_key_fast_path=False,
         probe_batch=_scalar_probe_batch,
     ),

@@ -75,17 +75,16 @@ def assert_run_equivalent(
     execution time, average latency, per-machine busy chains, charged probe
     work, peak ILF, the spill flag and the migration decision/completion
     times.  Use it when the two runs are meant to be *bit-identical*
-    simulations (probe-engine pairs at one batch size, adaptive vs per-tuple
-    plane); drop it when only the results
-    must agree (fixed-plane runs across batch sizes, where virtual-time
-    compression legitimately shifts the epoch edge).
+    simulations (probe-engine pairs, adaptive vs per-tuple plane); drop it
+    when only the results must agree (a recovered run against its
+    fault-free twin, where the outage shifts virtual times).
 
     ``network=True`` pins the traffic volumes per category.
 
     ``events=True`` additionally pins the *event plumbing*: global heap
     events.  Same-plane comparisons only (e.g. probe-engine pairs on one
-    data plane) — comparing across planes (batched vs per-tuple, adaptive
-    vs fixed) legitimately changes them.
+    data plane) — comparing the adaptive plane with the per-tuple plane
+    legitimately changes them.
 
     ``ignore=`` names individual fields to skip, for comparisons that are
     exact *except* for a known, bounded delta — e.g. a faulty run against

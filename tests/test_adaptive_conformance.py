@@ -1,9 +1,9 @@
 """Differential conformance suite for the adaptive data plane.
 
-The adaptive plane (``batching="adaptive"``) keeps the wire per-tuple and
-coalesces backlog at the receiving machines, so its contract is much stronger
-than the fixed plane's: every run must be **bit-identical** to the
-``batch_size=1`` reference plane — join output, migration sequence with its
+The adaptive plane (``batching="adaptive"``, the default) keeps the wire
+per-tuple and coalesces backlog at the receiving machines, so every run must
+be **bit-identical** to the ``batching="per_tuple"`` reference plane — join
+output, migration sequence with its
 decision/completion times, final mapping, per-machine busy chains, execution
 time, average latency, charged probe work and network volumes — while
 processing the workload in fewer, larger simulator events.
@@ -38,7 +38,7 @@ from repro.core.baselines import StaticMidOperator
 from repro.core.epochs import JoinerPhase
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import JoinQuery, make_query
-from repro.engine.batching import AdaptiveBatchController
+from repro.engine.batching import DEFAULT_BATCH_MAX, AdaptiveBatchController
 from repro.engine.columns import HAS_NUMPY
 from repro.engine.stream import (
     StreamTuple,
@@ -112,7 +112,7 @@ def _run(operator_class, query, order, **overrides):
 
 
 def _run_pair(operator_class, query, order, **shared):
-    reference = _run(operator_class, query, order, batch_size=1, **shared)
+    reference = _run(operator_class, query, order, batching="per_tuple", **shared)
     adaptive = _run(operator_class, query, order, batching="adaptive", **shared)
     return reference, adaptive
 
@@ -174,19 +174,17 @@ class TestMaterialisedConformance:
     def test_batch_max_caps_runs(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        reference = _run(StaticMidOperator, query, order, batch_size=1)
-        adaptive = _run(StaticMidOperator, query, order, batching="adaptive", batch_max=7)
-        assert_run_equivalent(reference, adaptive, label="batch_max=7")
-        assert max(adaptive.batch_histogram) <= 7
+        reference, adaptive = _run_pair(StaticMidOperator, query, order)
+        assert_run_equivalent(reference, adaptive, label="default cap")
+        assert max(adaptive.batch_histogram) == DEFAULT_BATCH_MAX
 
     def test_result_records_plane_metadata(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
         reference, adaptive = _run_pair(StaticMidOperator, query, order)
-        assert reference.batching == "fixed"
+        assert reference.batching == "per_tuple"
         assert reference.batch_histogram is None
         assert adaptive.batching == "adaptive"
-        assert adaptive.batch_size == 1  # per-tuple wire
         drained = sum(size * count for size, count in adaptive.batch_histogram.items())
         assert drained > 0
 
@@ -229,7 +227,7 @@ class TestStreamingConformance:
         query = queries[predicate]
         order = _arrival_order(query)
         chunks = _chunking(chunk_seed, len(order))
-        reference = _stream_run(query, order, chunks, batch_size=1)
+        reference = _stream_run(query, order, chunks, batching="per_tuple")
         adaptive = _stream_run(query, order, chunks, batching="adaptive")
         label = f"stream/{predicate}/chunking-{chunk_seed}"
         assert_run_equivalent(reference, adaptive, label=label)
@@ -253,7 +251,7 @@ class TestStreamingConformance:
         """Cross-push property: for ANY chunking, streaming adaptive is
         bit-identical to streaming per-tuple under the same chunking."""
         query, order = small_conformance
-        reference = _stream_run(query, order, chunks, batch_size=1)
+        reference = _stream_run(query, order, chunks, batching="per_tuple")
         adaptive = _stream_run(query, order, chunks, batching="adaptive")
         assert_run_equivalent(reference, adaptive, label=f"chunks={chunks[:6]}...")
 
@@ -267,21 +265,21 @@ def small_conformance(small_dataset):
 
 
 # ---------------------------------------------------------------------------
-# BatchController invariants (Hypothesis)
+# AdaptiveBatchController invariants (Hypothesis)
 # ---------------------------------------------------------------------------
 
 
 class TestAdaptiveControllerProperties:
     @given(
         backlogs=st.lists(st.integers(0, 500), min_size=1, max_size=200),
-        batch_max=st.integers(1, 128),
+        max_run=st.integers(1, 128),
     )
     @settings(max_examples=100, deadline=None)
-    def test_sizes_always_within_bounds(self, backlogs, batch_max):
-        controller = AdaptiveBatchController(batch_max=batch_max)
+    def test_sizes_always_within_bounds(self, backlogs, max_run):
+        controller = AdaptiveBatchController(max_run=max_run)
         for backlog in backlogs:
-            size = controller.next_batch_size(backlog)
-            assert 1 <= size <= batch_max
+            size = controller.next_run_size(backlog)
+            assert 1 <= size <= max_run
             assert size <= max(backlog, 1)
 
     @given(backlogs=st.lists(st.integers(0, 500), min_size=0, max_size=50))
@@ -290,25 +288,25 @@ class TestAdaptiveControllerProperties:
         """Whatever happened before, an (almost) empty inbox means size 1."""
         controller = AdaptiveBatchController()
         for backlog in backlogs:
-            controller.next_batch_size(backlog)
-        assert controller.next_batch_size(0) == 1
-        assert controller.next_batch_size(1) == 1
+            controller.next_run_size(backlog)
+        assert controller.next_run_size(0) == 1
+        assert controller.next_run_size(1) == 1
 
     @given(
-        batch_max=st.integers(1, 128),
+        max_run=st.integers(1, 128),
         rounds=st.integers(1, 64),
     )
     @settings(max_examples=50, deadline=None)
-    def test_monotone_growth_under_sustained_backlog(self, batch_max, rounds):
-        controller = AdaptiveBatchController(batch_max=batch_max)
-        sizes = [controller.next_batch_size(10 * batch_max) for _ in range(rounds)]
+    def test_monotone_growth_under_sustained_backlog(self, max_run, rounds):
+        controller = AdaptiveBatchController(max_run=max_run)
+        sizes = [controller.next_run_size(10 * max_run) for _ in range(rounds)]
         assert sizes == sorted(sizes), "sizes must be non-decreasing under backlog"
         if rounds >= 8:  # the doubling ramp reaches any cap <= 128 in 8 rounds
-            assert sizes[-1] == batch_max
+            assert sizes[-1] == max_run
 
     def test_invalid_batch_max_rejected(self):
         with pytest.raises(ValueError):
-            AdaptiveBatchController(batch_max=0)
+            AdaptiveBatchController(max_run=0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +342,6 @@ class TestDrainEligibility:
         for kind in (
             MessageKind.EPOCH_SIGNAL,
             MessageKind.MIGRATION_END,
-            MessageKind.BATCH,
         ):
             message = Message(kind=kind, sender="x", payload=_data_message(0).payload)
             assert normal_joiner.drain_key(message) is None
@@ -405,7 +402,7 @@ needs_numpy = pytest.mark.skipif(
 #: Data-plane configurations the scalar-vs-columnar cells run on.  Both sides
 #: of a cell share the plane, so the comparison may pin the event plumbing too.
 ENGINE_PLANES = {
-    "fixed": {"batch_size": 4},
+    "per_tuple": {"batching": "per_tuple"},
     "adaptive": {"batching": "adaptive"},
 }
 

@@ -13,7 +13,7 @@ Pins the contracts of ``repro.api``:
   at ``RunConfig``; ``make_operator`` routes through the validated config
   path and stays bit-identical to the session path.
 * The streaming ``push()`` ingestion yields identical final join results to
-  the materialised path on EQ5 at ``batch_size ∈ {1, 64}``.
+  the materialised path on EQ5 on both data planes.
 """
 
 import math
@@ -64,15 +64,15 @@ class TestRunConfig:
             blocking=True,
             memory_capacity=123.0,
             sample_every=50,
-            batch_size=16,
             probe_engine="scalar",
+            batching="per_tuple",
             arrival_pattern="s_first",
             inter_arrival=0.25,
         )
         assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_json_round_trip(self):
-        config = RunConfig(machines=4, batch_size=None, memory_capacity=None)
+        config = RunConfig(machines=4, warmup_tuples=None, memory_capacity=None)
         assert RunConfig.from_json(config.to_json()) == config
 
     def test_defaults_round_trip(self):
@@ -81,8 +81,8 @@ class TestRunConfig:
 
     def test_with_overrides_returns_new_validated_config(self):
         config = RunConfig(machines=8)
-        updated = config.with_overrides(seed=9, batch_size=2)
-        assert (updated.machines, updated.seed, updated.batch_size) == (8, 9, 2)
+        updated = config.with_overrides(seed=9, batching="per_tuple")
+        assert (updated.machines, updated.seed, updated.batching) == (8, 9, "per_tuple")
         assert config.seed == 0  # original untouched (frozen)
         assert config.with_overrides() is config
 
@@ -101,12 +101,14 @@ class TestRunConfig:
             "worker_timeout",
             "ack_timeout",
             "max_retries",
+            "batch_size",
+            "batch_max",
         ],
     )
     def test_saved_configs_naming_removed_knobs_fail_loudly(self, knob):
-        """A config saved before the merged wire, the threaded executor and
-        the crash-retry timer were removed must be refused, not silently run
-        on the plain plane."""
+        """A config saved before the merged wire, the threaded executor, the
+        crash-retry timer and the fixed batching plane were removed must be
+        refused, not silently run on another plane."""
         saved = RunConfig(machines=8).to_dict()
         saved[knob] = None
         with pytest.raises(ValueError, match=f"unknown RunConfig field.*{knob}"):
@@ -121,7 +123,7 @@ class TestRunConfig:
             {"machines": 0},
             {"machines": "sixteen"},
             {"epsilon": 0.0},
-            {"batch_size": 0},
+            {"batching": "fixed"},
             {"sample_every": 0},
             {"inter_arrival": -1.0},
             {"memory_capacity": -5.0},
@@ -159,51 +161,38 @@ class TestRunConfig:
 
 
 class TestBatchingKnobs:
-    """Error paths and serialisation of the batching-plane configuration."""
+    """Error paths and serialisation of the data-plane configuration."""
 
-    def test_unknown_batching_lists_registered_choices(self):
-        with pytest.raises(ValueError, match="adaptive.*fixed|fixed.*adaptive"):
-            RunConfig(batching="turbo")
-
-    def test_batch_max_rejected_on_fixed_plane(self):
-        with pytest.raises(ValueError, match="batch_max.*adaptive|adaptive.*batch_max"):
-            RunConfig(batching="fixed", batch_max=32)
-        with pytest.raises(ValueError):
-            RunConfig(batch_max=32)  # batching defaults to "fixed"
-
-    def test_batch_size_rejected_on_adaptive_plane(self):
-        with pytest.raises(ValueError, match="batch_size.*fixed plane"):
-            RunConfig(batching="adaptive", batch_size=64)
-
-    def test_blocking_rejected_on_adaptive_plane(self):
-        with pytest.raises(ValueError, match="non-blocking"):
-            RunConfig(batching="adaptive", blocking=True)
+    @pytest.mark.parametrize("batching", ["turbo", "fixed"])
+    def test_unknown_batching_lists_registered_choices(self, batching):
+        with pytest.raises(ValueError, match="choices: adaptive, per_tuple"):
+            RunConfig(batching=batching)
 
     @pytest.mark.parametrize(
         "overrides",
         [
             {"batching": 7},
-            {"batching": "adaptive", "batch_max": 0},
-            {"batching": "adaptive", "batch_max": -3},
-            {"batch_max": 1.5, "batching": "adaptive"},
+            {"batching": "fixed"},
+            {"batching": "per-tuple"},
+            {"batching": None},
         ],
     )
     def test_invalid_batching_values_rejected(self, overrides):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="batching"):
             RunConfig(**overrides)
 
     def test_adaptive_knobs_json_round_trip(self):
-        config = RunConfig(machines=8, batching="adaptive", batch_max=32)
+        config = RunConfig(machines=8, batching="per_tuple")
         assert RunConfig.from_json(config.to_json()) == config
         as_dict = config.to_dict()
-        assert as_dict["batching"] == "adaptive"
-        assert as_dict["batch_max"] == 32
+        assert as_dict["batching"] == "per_tuple"
         assert RunConfig.from_dict(as_dict) == config
+        assert RunConfig().batching == "adaptive"
 
     def test_adaptive_eagerly_validated_at_operator_construction(self, eq5_query):
         from repro.core.operator import GridJoinOperator
 
-        with pytest.raises(ValueError, match="registered choices"):
+        with pytest.raises(ValueError, match="choices: adaptive, per_tuple"):
             GridJoinOperator(eq5_query, config=RunConfig(), batching="turbo")
 
     def test_adaptive_flows_through_session(self, eq5_query):
@@ -351,9 +340,9 @@ class TestOverridePrecedence:
 
     def test_call_site_beats_session_default(self, eq5_query):
         session = JoinSession(eq5_query, config=RunConfig(machines=8, seed=1))
-        operator = session.operator(seed=7, batch_size=4)
+        operator = session.operator(seed=7, batching="per_tuple")
         assert operator.seed == 7
-        assert operator.batch_size == 4
+        assert operator.batching == "per_tuple"
         assert operator.machines == 8  # untouched session default
 
     def test_per_run_config_replaces_session_default(self, eq5_query):
@@ -398,10 +387,10 @@ class TestLegacyRemoval:
         # documented API (call-site beats config) — only the config-less
         # loose path was removed.
         operator = AdaptiveJoinOperator(
-            eq5_query, config=RunConfig(machines=8, seed=1), seed=7, batch_size=4
+            eq5_query, config=RunConfig(machines=8, seed=1), seed=7, batching="per_tuple"
         )
         assert operator.seed == 7
-        assert operator.batch_size == 4
+        assert operator.batching == "per_tuple"
 
     def test_make_operator_routes_through_config_path(self, eq5_query):
         # make_operator survives as a registry front door over RunConfig; it
@@ -428,19 +417,17 @@ class TestLegacyRemoval:
 # ---------------------------------------------------------------------------
 
 class TestStreamingIngestion:
-    @pytest.mark.parametrize("batch_size", [1, 64])
-    def test_eq5_streaming_matches_materialised(self, small_dataset, batch_size):
-        """Acceptance pin: identical final join results on EQ5 at batch 1/64.
+    @pytest.mark.parametrize("batching", ["per_tuple", "adaptive"])
+    def test_eq5_streaming_matches_materialised(self, small_dataset, batching):
+        """Acceptance pin: identical final join results on EQ5 on both planes.
 
-        The streaming batcher keeps partial per-destination buffers alive
-        across pushes, so batch boundaries match the materialised schedule
-        exactly; chunked simulation drains do shift virtual-time micro-timing
-        (the same class of effect as batching itself), so wall/virtual times
-        are not compared — results, migrations and the final mapping are.
+        Chunked simulation drains shift virtual-time micro-timing, so
+        wall/virtual times are not compared — results, migrations and the
+        final mapping are.
         """
         query = make_query("EQ5", small_dataset)
         order = _arrival_order(query, seed=5)
-        config = RunConfig(machines=8, seed=5, warmup_tuples=16.0, batch_size=batch_size)
+        config = RunConfig(machines=8, seed=5, warmup_tuples=16.0, batching=batching)
 
         materialised = JoinSession(query, config=config).run(
             arrival_order=order, collect_outputs=True
@@ -448,7 +435,7 @@ class TestStreamingIngestion:
 
         session = JoinSession(query, config=config)
         session.open_stream(collect_outputs=True)
-        chunk = 97  # deliberately not a divisor of the batch size
+        chunk = 97
         for start in range(0, len(order), chunk):
             session.push(items=order[start:start + chunk])
         streamed = session.finish()
@@ -461,7 +448,7 @@ class TestStreamingIngestion:
 
     def test_push_raw_records_and_snapshots(self, small_dataset):
         query = make_query("EQ5", small_dataset)
-        session = JoinSession(query, machines=8, seed=3, batch_size=4)
+        session = JoinSession(query, machines=8, seed=3)
         half_left = len(query.left_records) // 2
         half_right = len(query.right_records) // 2
 
@@ -485,7 +472,7 @@ class TestStreamingIngestion:
         assert result.output_count == reference.output_count
 
     def test_streaming_lifecycle_errors(self, eq5_query):
-        session = JoinSession(eq5_query, machines=8, seed=3, batch_size=4)
+        session = JoinSession(eq5_query, machines=8, seed=3)
         with pytest.raises(RuntimeError, match="no streaming run"):
             session.finish()
         with pytest.raises(RuntimeError, match="no streaming run"):
@@ -504,7 +491,7 @@ class TestStreamingIngestion:
         session.finish()
 
     def test_push_rejects_wrong_relation(self, eq5_query, bnci_query):
-        session = JoinSession(eq5_query, machines=8, batch_size=4)
+        session = JoinSession(eq5_query, machines=8)
         order = _arrival_order(eq5_query, seed=5)
         right_tuple = next(t for t in order if t.relation == eq5_query.right_relation)
         with pytest.raises(ValueError, match="relation"):

@@ -1,39 +1,30 @@
-"""Batched / per-tuple data-plane equivalence.
+"""Data-plane and probe-engine equivalence, blocking protocol included.
 
-Batching is a transport optimisation: for any batch size the operator must
-produce exactly the same join output (as tuple-id pairs), the same number of
-migrations and the same final mapping as the per-tuple data plane
-(``batch_size=1``), which itself reproduces the seed behaviour
-event-for-event.  Both runs are fed the *same* arrival order (the same
-``StreamTuple`` objects) so tuple ids and salts are directly comparable.
+The operator has one data plane with two settings: ``batching="adaptive"``
+(the default, receiver-side draining) and ``batching="per_tuple"`` (every
+message handled alone, the reference).  For every operator and protocol the
+adaptive plane must be a *bit-identical* simulation of the per-tuple plane,
+and the vectorized probe engine (batch probes over drained runs, bulk cost
+commits) must be a bit-identical simulation of the scalar engine on the same
+plane — outputs, virtual times, probe work and network traffic.  Both runs
+of a pair are fed the *same* arrival order (the same ``StreamTuple``
+objects) so tuple ids and salts are directly comparable.
 
-The vectorized probe engine is additionally pinned against the per-member
-(per-tuple) probe path: at every batch size, running the same workload with
-``probe_engine="scalar"`` must charge exactly the same total ``probe_work``
-and produce an identical simulation (outputs and virtual completion time) —
-the batch-aware probes are a wall-clock optimisation only.
-
-The virtual-time equality assertions double as the pin for **per-batch cost
-aggregation** (``JoinerTask._apply_data_batch``): the batch-aware engine
-charges one handler invocation's costs through the aggregated bookkeeping
-path while the scalar engine still runs per-member ``_apply``; if
-aggregation ever perturbed per-member cost attribution (float order, storage
-factors, output emission charges), ``execution_time`` — and the per-output
-latency totals behind ``average_latency`` — would diverge between the two.
+The blocking protocol always runs on the per-tuple plane: a ``blocking=True``
+run on the default config must equal ``batching="per_tuple", blocking=True``
+down to the heap events.
 """
 
 import random
 
 import pytest
-from repro.testing import NETWORK_FIELDS, TIMING_FIELDS, assert_run_equivalent
+from repro.testing import assert_run_equivalent
 
 from repro.api import RunConfig
 from repro.core.baselines import StaticMidOperator
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import make_query
 from repro.engine.stream import interleave_streams, make_tuples
-
-BATCH_SIZES = (8, 64)
 
 
 def _arrival_order(query, seed):
@@ -45,39 +36,36 @@ def _arrival_order(query, seed):
     return interleave_streams(left, right, rng)
 
 
-def _run(operator_class, query, order, batch_size, **kwargs):
-    config = RunConfig(machines=8, seed=5, batch_size=batch_size, **kwargs)
+def _run(operator_class, query, order, **kwargs):
+    config = RunConfig(machines=8, seed=5, **kwargs)
     operator = operator_class(query, config=config)
     return operator.run(arrival_order=order, collect_outputs=True)
 
 
-def _assert_equivalent(operator_class, query, **kwargs):
+def _assert_equivalent(operator_class, query, blocking=False, **kwargs):
     order = _arrival_order(query, seed=5)
-    reference = _run(operator_class, query, order, batch_size=1, **kwargs)
+    reference = _run(
+        operator_class, query, order,
+        batching="per_tuple", probe_engine="scalar", blocking=blocking, **kwargs,
+    )
     assert reference.outputs is not None
-    for batch_size in BATCH_SIZES:
-        batched = _run(operator_class, query, order, batch_size=batch_size, **kwargs)
-        # Across fixed-plane batch sizes only the *results* are pinned:
-        # virtual-time compression legitimately shifts the epoch edge, so the
-        # timing and per-category volume fields are named in ignore= — every
-        # field NOT named stays strict, unlike the old coarse switches.
+    assert reference.batching == "per_tuple"
+    for engine in ("scalar", "vectorized"):
+        default = _run(
+            operator_class, query, order, probe_engine=engine, blocking=blocking, **kwargs
+        )
+        assert default.probe_work > 0
+        # Same plane as the reference when blocking, so the event plumbing
+        # must match too; otherwise draining legitimately changes it.
+        assert default.batching == ("per_tuple" if blocking else "adaptive")
         assert_run_equivalent(
-            reference, batched,
-            ignore=TIMING_FIELDS | NETWORK_FIELDS,
-            label=f"batch_size={batch_size}",
+            reference, default, events=blocking, label=f"default plane/{engine}"
         )
-        # The scalar (per-member reference) engine at the same batch size must
-        # be a bit-identical simulation: identical probe work, output timing,
-        # storage peaks and network traffic.  This doubles as the pin for the
-        # per-batch aggregated cost bookkeeping (JoinerTask._apply_data_batch).
-        scalar = _run(
-            operator_class, query, order, batch_size=batch_size,
-            probe_engine="scalar", **kwargs,
-        )
-        assert batched.probe_work > 0
-        assert_run_equivalent(
-            scalar, batched, label=f"scalar-vs-vectorized@batch_size={batch_size}"
-        )
+    per_tuple = _run(
+        operator_class, query, order,
+        batching="per_tuple", probe_engine="vectorized", blocking=blocking, **kwargs,
+    )
+    assert_run_equivalent(reference, per_tuple, events=True, label="per_tuple/vectorized")
 
 
 class TestBatchedEquivalence:
@@ -104,29 +92,28 @@ class TestBatchedEquivalence:
 
 class TestBatchedAccounting:
     def test_batching_reduces_events(self, small_dataset):
-        """Batches amortise simulator events without changing the output.
-
-        (Network volume is *not* compared across batch sizes: virtual-time
-        compression shifts where the epoch edge falls in the stream, so the
-        mapping under which edge tuples are routed — and hence their fan-out —
-        may legitimately differ.  Per-message volume exactness is covered by
-        the engine-level batch tests.)
-        """
+        """Receiver draining amortises simulator events without changing the run."""
         query = make_query("EQ5", small_dataset)
         order = _arrival_order(query, seed=5)
-        per_tuple = _run(AdaptiveJoinOperator, query, order, batch_size=1, warmup_tuples=16)
-        batched = _run(AdaptiveJoinOperator, query, order, batch_size=64, warmup_tuples=16)
-        assert batched.events_processed * 3 < per_tuple.events_processed
-        assert batched.output_count == per_tuple.output_count
+        per_tuple = _run(
+            AdaptiveJoinOperator, query, order, batching="per_tuple", warmup_tuples=16
+        )
+        adaptive = _run(AdaptiveJoinOperator, query, order, warmup_tuples=16)
+        assert adaptive.events_processed * 3 < per_tuple.events_processed
+        assert_run_equivalent(per_tuple, adaptive, label="adaptive")
 
-    def test_batch_size_recorded_in_result(self, small_dataset):
+    def test_batching_recorded_in_result(self, small_dataset):
         query = make_query("EQ5", small_dataset)
         order = _arrival_order(query, seed=5)
-        result = _run(StaticMidOperator, query, order, batch_size=64)
-        assert result.batch_size == 64
-        assert result.events_processed > 0
+        adaptive = _run(StaticMidOperator, query, order)
+        assert adaptive.batching == "adaptive"
+        assert adaptive.batch_histogram
+        per_tuple = _run(StaticMidOperator, query, order, batching="per_tuple")
+        assert per_tuple.batching == "per_tuple"
+        assert per_tuple.batch_histogram is None
+        assert per_tuple.events_processed > adaptive.events_processed > 0
 
-    def test_invalid_batch_size_rejected(self, small_dataset):
+    def test_invalid_batching_rejected(self, small_dataset):
         query = make_query("EQ5", small_dataset)
-        with pytest.raises(ValueError):
-            StaticMidOperator(query, config=RunConfig(machines=8, batch_size=0))
+        with pytest.raises(ValueError, match="choices: adaptive, per_tuple"):
+            StaticMidOperator(query, config=RunConfig(machines=8), batching="fixed")

@@ -35,10 +35,12 @@ class TestCli:
         from repro.api import RunConfig
 
         path = tmp_path / "run-config.json"
-        path.write_text(RunConfig(machines=4, seed=2, batch_size=8, epsilon=0.5).to_json())
+        path.write_text(
+            RunConfig(machines=4, seed=2, batching="per_tuple", epsilon=0.5).to_json()
+        )
         run(["fig6d", "--scale", "0.15", "--config", str(path)])
         out = capsys.readouterr().out
-        assert "ignoring" in out and "batch_size" in out and "epsilon" in out
+        assert "ignoring" in out and "batching" in out and "epsilon" in out
 
     def test_bad_config_file_errors(self, tmp_path):
         path = tmp_path / "bad.json"

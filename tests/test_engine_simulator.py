@@ -5,7 +5,7 @@ import pytest
 from repro.engine.machine import CostModel
 from repro.engine.network import TrafficCategory
 from repro.engine.simulator import Simulator
-from repro.engine.stream import ArrivalSchedule, StreamTuple, TupleBatch
+from repro.engine.stream import ArrivalSchedule, StreamTuple
 from repro.engine.task import Context, Message, MessageKind, Task
 
 
@@ -176,58 +176,29 @@ class TestPriorityStart:
         assert task.log[0][0] == pytest.approx(3.0)
 
 
-class TestBatchedFeed:
+class TestFeed:
     def _items(self, count):
         return [StreamTuple(relation="R", record={"i": i}, size=2.0) for i in range(count)]
 
-    def test_batched_feed_coalesces_per_destination(self):
+    def test_feed_is_one_source_message_per_tuple(self):
         sim = Simulator(num_machines=1)
         task = sim.register(Recorder("r", machine_id=0))
         items = self._items(10)
         schedule = ArrivalSchedule(items=items, inter_arrival=1.0)
-        sim.feed_schedule(schedule, destination_picker=lambda item: "r", batch_size=4)
+        sim.feed_schedule(schedule, destination_picker=lambda item: "r")
         sim.run()
-        # 10 arrivals -> batches of 4, 4 and a flushed partial of 2.
-        sizes = [len(payload) for _, payload in task.log]
-        assert sizes == [4, 4, 2]
-        for _, payload in task.log:
-            assert isinstance(payload, TupleBatch)
-        # Per-member arrival stamps survive coalescing.
+        assert [payload for _, payload in task.log] == items
+        # Each tuple is stamped and delivered at its own arrival time.
         assert [item.arrival_time for item in items] == [float(i) for i in range(10)]
+        assert [time for time, _ in task.log] == [float(i) for i in range(10)]
 
-    def test_batch_emitted_at_newest_member_arrival(self):
-        sim = Simulator(num_machines=1)
-        task = sim.register(Recorder("r", machine_id=0))
-        schedule = ArrivalSchedule(items=self._items(4), inter_arrival=2.0)
-        sim.feed_schedule(schedule, destination_picker=lambda item: "r", batch_size=4)
-        sim.run()
-        assert task.log[0][0] == pytest.approx(6.0)
-
-    def test_batch_size_one_is_per_tuple(self):
-        sim = Simulator(num_machines=1)
-        task = sim.register(Recorder("r", machine_id=0))
-        schedule = ArrivalSchedule(items=self._items(3))
-        sim.feed_schedule(schedule, destination_picker=lambda item: "r", batch_size=1)
-        sim.run()
-        assert len(task.log) == 3
-        assert all(isinstance(payload, StreamTuple) for _, payload in task.log)
-
-    def test_batch_network_accounting_is_exact(self):
-        """A batch transfer counts one message, len(batch) tuples and the
-        summed member size as volume."""
+    def test_network_accounting_is_per_message(self):
+        """Every transfer counts one message and its size as volume."""
         sim = Simulator(num_machines=2)
         sim.register(Recorder("sink", machine_id=1))
-        forwarder = sim.register(Forwarder("hop", "sink", machine_id=0))
-        batch = TupleBatch(items=self._items(5))
-        message = Message(
-            kind=MessageKind.BATCH,
-            sender="test",
-            payload=batch,
-            size=batch.size,
-            meta={"inner": MessageKind.DATA},
-        )
-        sim.schedule(0.0, "hop", message)
+        sim.register(Forwarder("hop", "sink", machine_id=0))
+        for item in self._items(5):
+            sim.schedule(0.0, "hop", _data(item, size=item.size))
         sim.run()
-        assert sim.network.messages[TrafficCategory.ROUTING] == 1
-        assert sim.network.tuples[TrafficCategory.ROUTING] == 5
+        assert sim.network.messages[TrafficCategory.ROUTING] == 5
         assert sim.network.volume[TrafficCategory.ROUTING] == pytest.approx(10.0)

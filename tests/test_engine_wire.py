@@ -43,8 +43,7 @@ OPERATORS = {
 }
 
 PLANES = {
-    "per_tuple": {"batch_size": 1},
-    "batched": {"batch_size": 64},
+    "per_tuple": {"batching": "per_tuple"},
     "adaptive": {"batching": "adaptive"},
 }
 
@@ -156,20 +155,11 @@ class TestHeapEntryPerSend:
         sim = Simulator(num_machines=1)
         sim.register(Recorder("r", machine_id=0))
         items = [StreamTuple(relation="R", record={"i": i}, size=1.0) for i in range(9)]
-        sim.feed_schedule(ArrivalSchedule(items=items), lambda item: "r", batch_size=1)
+        sim.feed_schedule(ArrivalSchedule(items=items), lambda item: "r")
         assert len(sim._queue) == 9
         sim.run()
         assert sim.heap_events == 9 + 9
         assert sim.events_processed == 9
-
-    def test_batched_feed_is_one_entry_per_batch(self):
-        sim = Simulator(num_machines=1)
-        sim.register(Recorder("r", machine_id=0))
-        items = [StreamTuple(relation="R", record={"i": i}, size=1.0) for i in range(10)]
-        sim.feed_schedule(ArrivalSchedule(items=items), lambda item: "r", batch_size=4)
-        assert len(sim._queue) == 3  # batches of 4, 4 and a flushed 2
-        sim.run()
-        assert sim.heap_events == 3 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +367,9 @@ class WireProbe:
             counts["sends"] += 1
             return original["schedule"](sim, time, destination, message)
 
-        def feed_schedule(sim, schedule, destination_picker, batch_size=1):
-            if batch_size <= 1:
-                counts["sends"] += len(schedule)
-            return original["feed_schedule"](sim, schedule, destination_picker, batch_size)
+        def feed_schedule(sim, schedule, destination_picker):
+            counts["sends"] += len(schedule)
+            return original["feed_schedule"](sim, schedule, destination_picker)
 
         def deliver(sim, task, message, time):
             counts["deliveries"] += 1
@@ -436,7 +425,7 @@ class TestOperatorWire:
         plane's delivery trace is the per-tuple plane's, entry for entry."""
         query = queries[predicate]
         order = _arrival_order(query)
-        reference = _run(OPERATORS[operator], query, order, batch_size=1)
+        reference = _run(OPERATORS[operator], query, order, batching="per_tuple")
         reference_trace = list(probe.trace)
         reference_ticks = probe.counts["ticks"]
         probe.reset()

@@ -9,7 +9,8 @@ Pins the fault-tolerant join plane's contract:
   the *same join output multiset* as its fault-free twin over the same
   arrival order, across predicate kinds (equi / band / composite) and data
   planes (per-tuple / adaptive), with ``recovery_time > 0`` and the crash
-  counted in ``faults_injected``.
+  counted in ``faults_injected``.  Every twin is itself checked pair by pair
+  against the nested-loop reference join (``assert_exact_join``).
 * **Deterministic replay** — running the same crash schedule twice is
   bit-identical (``events=True``), so recovery itself is deterministic.
 * **Error paths** — overlapping faults and invalid :class:`FaultSpec`
@@ -36,7 +37,7 @@ from repro.engine.faults import FaultSpec, normalize_fault_schedule
 from repro.engine.stream import interleave_streams, make_tuples
 from repro.joins.predicates import CompositePredicate, EquiPredicate
 from repro.storage import CheckpointStore
-from repro.testing import assert_run_equivalent
+from repro.testing import assert_exact_join, assert_run_equivalent
 
 MACHINES = 8
 SEED = 5
@@ -85,12 +86,21 @@ def _run(query, order, operator_class=AdaptiveJoinOperator, **overrides):
     return operator.run(arrival_order=order, collect_outputs=True)
 
 
+def _twin_run(query, order, **overrides):
+    """A fault-free twin, checked against the nested-loop reference join."""
+    twin = _run(query, order, **overrides)
+    left = [item for item in order if item.relation == query.left_relation]
+    right = [item for item in order if item.relation != query.left_relation]
+    assert_exact_join(twin, query, left, right, label=f"{query.name} twin")
+    return twin
+
+
 # Per-plane overrides with a smoke-verified crash anchor: the per-tuple plane
 # processes ~1380 events on the small EQ5 workload, the adaptive plane ~253,
 # so each plane gets an anchor that reliably lands mid-run.
 PLANES = {
-    "per_tuple": {"batch_size": 1, "_crash_events": 500},
-    "adaptive": {"batching": "adaptive", "_crash_events": 200},
+    "per_tuple": {"batching": "per_tuple", "_crash_events": 500},
+    "adaptive": {"_crash_events": 200},
 }
 
 
@@ -236,7 +246,7 @@ class TestCrashRecovery:
         query = queries[kind]
         order = _arrival_order(query)
         overrides, _ = _plane_overrides(plane)
-        twin = _run(query, order, checkpoint_interval=50, **overrides)
+        twin = _twin_run(query, order, checkpoint_interval=50, **overrides)
         # Anchor at the twin's mid-run point so the crash fires on every
         # query x plane cell regardless of its absolute event count.
         crashed = _run(
@@ -254,12 +264,12 @@ class TestCrashRecovery:
     def test_virtual_time_anchored_crash(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
+        twin = _twin_run(query, order, checkpoint_interval=50, batching="per_tuple")
         crashed = _run(
             query,
             order,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash(3, twin.execution_time * 0.4)],
         )
         assert crashed.faults_injected == 1
@@ -269,12 +279,12 @@ class TestCrashRecovery:
     def test_controller_machine_crash(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
+        twin = _twin_run(query, order, checkpoint_interval=50, batching="per_tuple")
         crashed = _run(
             query,
             order,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash(0, twin.execution_time * 0.4)],
         )
         assert crashed.faults_injected == 1
@@ -283,16 +293,16 @@ class TestCrashRecovery:
     def test_static_operator_recovers(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(
+        twin = _twin_run(
             query, order, operator_class=StaticMidOperator,
-            checkpoint_interval=50, batch_size=1,
+            checkpoint_interval=50, batching="per_tuple",
         )
         crashed = _run(
             query,
             order,
             operator_class=StaticMidOperator,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash_after_events(3, 500)],
         )
         assert crashed.faults_injected == 1
@@ -303,11 +313,11 @@ class TestCrashRecovery:
         # implicit empty snapshot.
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, batch_size=1)
+        twin = _twin_run(query, order, batching="per_tuple")
         crashed = _run(
             query,
             order,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash_after_events(3, 500)],
         )
         assert crashed.faults_injected == 1
@@ -318,7 +328,7 @@ class TestCrashRecovery:
         order = _arrival_order(query)
         kwargs = dict(
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash_after_events(3, 500)],
         )
         first = _run(query, order, **kwargs)
@@ -331,12 +341,12 @@ class TestCrashRecovery:
     def test_explicit_restart_after(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
+        twin = _twin_run(query, order, checkpoint_interval=50, batching="per_tuple")
         crashed = _run(
             query,
             order,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash_after_events(3, 500, restart_after=2.0)],
         )
         assert crashed.faults_injected == 1
@@ -345,12 +355,12 @@ class TestCrashRecovery:
     def test_multiple_crashes_on_distinct_machines(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
+        twin = _twin_run(query, order, checkpoint_interval=50, batching="per_tuple")
         crashed = _run(
             query,
             order,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash_after_events(3, 400), crash_after_events(5, 800)],
         )
         assert crashed.faults_injected == 2
@@ -369,7 +379,7 @@ class TestFaultErrorPaths:
             _run(
                 query,
                 order,
-                batch_size=1,
+                batching="per_tuple",
                 checkpoint_interval=50,
                 fault_schedule=[
                     crash_after_events(3, 500, restart_after=1e9),
@@ -393,7 +403,7 @@ def _twin(queries, kind, plane):
         overrides, _ = _plane_overrides(plane)
         _TWIN_CACHE[key] = (
             order,
-            _run(query, order, checkpoint_interval=50, **overrides),
+            _twin_run(query, order, checkpoint_interval=50, **overrides),
         )
     return _TWIN_CACHE[key]
 

@@ -7,7 +7,9 @@ Pins the unreliable-wire plane's contract:
   rejection of statically-provable overlapping crash windows.
 * **Masking** — under any drop/duplicate/delay/partition schedule the run
   terminates and its join output multiset equals the fault-free twin's, on
-  both data planes, including cells composed with machine crashes.
+  both data planes, including cells composed with machine crashes.  Every
+  twin is itself checked pair by pair against the nested-loop reference join
+  (``assert_exact_join``).
 * **Clean-path bit-identity** — ``network_faults=()`` leaves every run
   bit-identical to a build without the wire plane (heap events included).
 * **Determinism** — the same fault schedule under the same seed reproduces
@@ -47,7 +49,7 @@ from repro.data.queries import make_query
 from repro.engine.faults import normalize_network_faults
 from repro.engine.stream import ArrivalSchedule, interleave_streams, make_tuples
 from repro.storage import CheckpointCorruptionError, CheckpointStore
-from repro.testing import assert_run_equivalent
+from repro.testing import assert_exact_join, assert_run_equivalent
 
 MACHINES = 8
 SEED = 5
@@ -79,9 +81,18 @@ def _run(query, order, **overrides):
     return operator.run(arrival_order=order, collect_outputs=True)
 
 
+def _twin_run(query, order, **overrides):
+    """A fault-free twin, checked against the nested-loop reference join."""
+    twin = _run(query, order, **overrides)
+    left = [item for item in order if item.relation == query.left_relation]
+    right = [item for item in order if item.relation != query.left_relation]
+    assert_exact_join(twin, query, left, right, label=f"{query.name} twin")
+    return twin
+
+
 PLANES = {
-    "per_tuple": {"batch_size": 1},
-    "adaptive": {"batching": "adaptive"},
+    "per_tuple": {"batching": "per_tuple"},
+    "adaptive": {},
 }
 
 #: A schedule exercising every per-send fault kind over several links.
@@ -297,7 +308,7 @@ class TestWireMasking:
     def test_drop_schedule_masked(self, queries, kind, plane):
         query = queries[kind]
         order = _arrival_order(query)
-        twin = _run(query, order, **PLANES[plane])
+        twin = _twin_run(query, order, **PLANES[plane])
         faulty = _run(
             query,
             order,
@@ -314,7 +325,7 @@ class TestWireMasking:
     def test_duplicate_schedule_masked(self, queries, plane):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, **PLANES[plane])
+        twin = _twin_run(query, order, **PLANES[plane])
         faulty = _run(
             query,
             order,
@@ -330,7 +341,7 @@ class TestWireMasking:
     def test_delay_schedule_masked_and_reorders(self, queries, plane):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, **PLANES[plane])
+        twin = _twin_run(query, order, **PLANES[plane])
         faulty = _run(
             query,
             order,
@@ -345,7 +356,7 @@ class TestWireMasking:
     def test_partition_window_masked(self, queries, plane):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, **PLANES[plane])
+        twin = _twin_run(query, order, **PLANES[plane])
         window = (twin.execution_time * 0.2, twin.execution_time * 0.5)
         faulty = _run(
             query,
@@ -364,7 +375,7 @@ class TestWireMasking:
     def test_mixed_schedule_masked(self, queries, plane):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, **PLANES[plane])
+        twin = _twin_run(query, order, **PLANES[plane])
         faulty = _run(query, order, network_faults=MIXED_FAULTS, **PLANES[plane])
         assert sorted(faulty.outputs) == sorted(twin.outputs), plane
         _assert_counters_reconcile(faulty, f"mixed:{plane}")
@@ -372,7 +383,7 @@ class TestWireMasking:
     def test_faulty_run_is_deterministic(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        kwargs = dict(network_faults=MIXED_FAULTS, batch_size=1)
+        kwargs = dict(network_faults=MIXED_FAULTS, batching="per_tuple")
         first = _run(query, order, **kwargs)
         second = _run(query, order, **kwargs)
         # events=True + network=True: heap events and every degradation
@@ -385,7 +396,7 @@ class TestWireMasking:
         query = queries["equi"]
         order = _arrival_order(query)
         faulty = _run(
-            query, order, network_faults=[drop((0, 1), 1)], batch_size=1
+            query, order, network_faults=[drop((0, 1), 1)], batching="per_tuple"
         )
         assert faulty.retransmit_histogram == {1: 1}
 
@@ -393,7 +404,7 @@ class TestWireMasking:
         # Manual plumbing mirror of operator.run, to inspect the wire state.
         query = queries["equi"]
         order = _arrival_order(query)
-        config = _config(network_faults=MIXED_FAULTS, batch_size=1)
+        config = _config(network_faults=MIXED_FAULTS, batching="per_tuple")
         operator = AdaptiveJoinOperator(query, config=config)
         rng = random.Random(config.seed)
         simulator, topology = operator.build_execution(
@@ -402,7 +413,6 @@ class TestWireMasking:
         simulator.feed_schedule(
             ArrivalSchedule(items=list(order), inter_arrival=0.0),
             destination_picker=lambda _item: rng.choice(topology.reshuffler_names),
-            batch_size=operator.batch_size,
         )
         simulator.run()
         wire = simulator._wire
@@ -423,7 +433,7 @@ class TestCrashComposition:
     def test_crash_and_network_faults_recover_exactly(self, queries, plane):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, **PLANES[plane])
+        twin = _twin_run(query, order, checkpoint_interval=50, **PLANES[plane])
         composed = _run(
             query,
             order,
@@ -446,7 +456,7 @@ class TestCrashComposition:
         # redelivery must compose to exactly-once application.
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
+        twin = _twin_run(query, order, checkpoint_interval=50, batching="per_tuple")
         faults = tuple(
             drop((sender, 3), nth)
             for sender in (0, 1, 2, 4)
@@ -456,7 +466,7 @@ class TestCrashComposition:
             query,
             order,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[
                 crash_after_events(3, max(1, twin.events_processed // 2))
             ],
@@ -480,7 +490,7 @@ class TestUnreachableLink:
             _run(
                 query,
                 order,
-                batch_size=1,
+                batching="per_tuple",
                 network_faults=[
                     partition((0, 1, 2, 3), (4, 5, 6, 7), 0.0, 1e12)
                 ],
@@ -580,7 +590,7 @@ def _twin(queries, kind):
     if kind not in _TWIN_CACHE:
         query = queries[kind]
         order = _arrival_order(query)
-        _TWIN_CACHE[kind] = (order, _run(query, order, batch_size=1))
+        _TWIN_CACHE[kind] = (order, _twin_run(query, order, batching="per_tuple"))
     return _TWIN_CACHE[kind]
 
 
@@ -610,7 +620,7 @@ class TestRandomScheduleProperty:
     def test_random_schedule_masks_to_twin_output(self, queries, faults, kind):
         query = queries[kind]
         order, twin = _twin(queries, kind)
-        faulty = _run(query, order, network_faults=faults, batch_size=1)
+        faulty = _run(query, order, network_faults=faults, batching="per_tuple")
         assert sorted(faulty.outputs) == sorted(twin.outputs), kind
         assert faulty.output_count == twin.output_count
         _assert_counters_reconcile(faulty, f"property:{kind}")

@@ -8,7 +8,10 @@ reference (:func:`repro.testing.assert_exact_join`), not just by count.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,7 @@ from repro.core.baselines import (
     make_operator,
 )
 from repro.core.operator import AdaptiveJoinOperator
+from repro.core.tasks import stable_hash
 from repro.data.queries import JoinQuery, make_query
 from repro.data.tpch import generate_dataset
 from repro.engine.columns import HAS_NUMPY
@@ -120,6 +124,61 @@ class TestOperatorOutputs:
         assert results[0].migrations == results[1].migrations
 
 
+#: Runs SHJ on a 600x600 equi join over 40 string keys and prints every
+#: deterministic RunResult field (all but wall time).
+_SHJ_STRING_KEYS = """
+import dataclasses, random
+from repro.api import RunConfig
+from repro.core.baselines import SymmetricHashOperator
+from repro.data.queries import JoinQuery
+from repro.joins.predicates import EquiPredicate
+
+rng = random.Random(7)
+keys = [f"key-{i}" for i in range(40)]
+query = JoinQuery(
+    name="STRING_EQ",
+    left_relation="R",
+    right_relation="S",
+    left_records=[{"k": rng.choice(keys)} for _ in range(600)],
+    right_records=[{"k": rng.choice(keys)} for _ in range(600)],
+    predicate=EquiPredicate("k", "k"),
+)
+result = SymmetricHashOperator(query, config=RunConfig(machines=8, seed=1)).run()
+fields = dataclasses.asdict(result)
+del fields["wall_time"]
+print(repr(sorted(fields.items())))
+"""
+
+
+class TestShjRouting:
+    def test_string_keys_reproduce_across_hash_seeds(self):
+        """SHJ routes by key hash; ``str`` hashes are salted per process, so
+        the routing hash must not depend on ``PYTHONHASHSEED``."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+        def run(hash_seed):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", _SHJ_STRING_KEYS],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            return completed.stdout
+
+        assert run("1") == run("2")
+
+    def test_numeric_keys_keep_the_builtin_hash(self):
+        """Int keys route to the machine ``hash(key)`` always chose, and keys
+        that compare equal hash equal."""
+        for key in (0, 1, -1, 7, 2**61 - 1, 2**64 + 3, -(2**70)):
+            assert stable_hash(key) == hash(key)
+        assert stable_hash(1.0) == stable_hash(1) == stable_hash(True)
+        assert stable_hash((1, "a")) == stable_hash((1.0, "a"))
+        assert stable_hash(None) == stable_hash(float("nan")) == 0
+
+
 class TestRunResultContents:
     def test_result_fields_are_populated(self, eq5_query):
         result = AdaptiveJoinOperator(eq5_query, config=RunConfig(machines=8, seed=1)).run()
@@ -172,12 +231,12 @@ class TestHostileBandKeys:
     error before any simulation event runs — on every probe engine.
     """
 
-    @pytest.mark.parametrize("batch_size", [1, None])
+    @pytest.mark.parametrize("batching", ["per_tuple", "adaptive"])
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_nan_keys_rejected_on_every_engine(self, engine, batch_size):
+    def test_nan_keys_rejected_on_every_engine(self, engine, batching):
         query = _hostile_query()
         session = JoinSession(
-            query, config=RunConfig(machines=4, probe_engine=engine, batch_size=batch_size)
+            query, config=RunConfig(machines=4, probe_engine=engine, batching=batching)
         )
         with pytest.raises(UnsupportedKeyError) as caught:
             session.run(collect_outputs=True)
@@ -186,9 +245,9 @@ class TestHostileBandKeys:
         assert error.relation in ("R", "S")
         assert math.isnan(error.record["k"])
 
-    @pytest.mark.parametrize("batch_size", [1, None])
+    @pytest.mark.parametrize("batching", ["per_tuple", "adaptive"])
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_nan_free_subset_is_the_exact_join(self, engine, batch_size):
+    def test_nan_free_subset_is_the_exact_join(self, engine, batching):
         hostile = _hostile_query()
         query = _band_query(
             [r["k"] for r in hostile.left_records if not math.isnan(r["k"])],
@@ -196,7 +255,7 @@ class TestHostileBandKeys:
         )
         operator = AdaptiveJoinOperator(
             query,
-            config=RunConfig(machines=4, seed=3, probe_engine=engine, batch_size=batch_size),
+            config=RunConfig(machines=4, seed=3, probe_engine=engine, batching=batching),
         )
         _assert_correct(operator, query)
 

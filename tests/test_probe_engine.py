@@ -1,4 +1,4 @@
-"""Differential tests for the batch-aware probe engine.
+"""Differential tests for the batch probe engines.
 
 The ``scalar`` probe engine defines the reference semantics: per-member
 ``probe`` (full per-candidate predicate re-validation) followed by ``insert``.
@@ -245,13 +245,14 @@ class TestEngineRunEquivalence:
     operator run it must produce a bit-identical simulation — outputs,
     migration sequence and timing, per-machine busy chains, probe work,
     latency and network volumes (``assert_run_equivalent`` with full
-    strictness).  The per-batch/per-batch-size sweep lives in
+    strictness).  The per-operator/blocking sweep lives in
     ``test_batching_equivalence.py``; this pins the engines on both data
-    planes at operator defaults.
+    planes at operator defaults, and the adaptive cells against the
+    per-tuple reference plane too.
     """
 
     @pytest.mark.parametrize("query_name", ["EQ5", "BNCI"])
-    @pytest.mark.parametrize("batching", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("batching", ["per_tuple", "adaptive"])
     def test_scalar_oracle_is_bit_identical(self, small_dataset, query_name, batching):
         from repro.api import JoinSession, RunConfig
         from repro.data.queries import make_query
@@ -267,17 +268,23 @@ class TestEngineRunEquivalence:
         )
         order = interleave_streams(left, right, rng)
         results = {}
+        planes = {"per_tuple", batching}
         for engine in ("scalar", "vectorized"):
-            config = RunConfig(
-                machines=8, seed=5, warmup_tuples=16, probe_engine=engine,
-                batching=batching,
-            )
-            results[engine] = JoinSession(query, config=config).run(
-                arrival_order=order, collect_outputs=True
-            )
+            for plane in planes:
+                config = RunConfig(
+                    machines=8, seed=5, warmup_tuples=16, probe_engine=engine,
+                    batching=plane,
+                )
+                results[engine, plane] = JoinSession(query, config=config).run(
+                    arrival_order=order, collect_outputs=True
+                )
         assert_run_equivalent(
-            results["scalar"], results["vectorized"],
-            label=f"{query_name}/{batching}",
+            results["scalar", batching], results["vectorized", batching],
+            events=True, label=f"{query_name}/{batching}",
+        )
+        assert_run_equivalent(
+            results["scalar", "per_tuple"], results["vectorized", batching],
+            label=f"{query_name}/{batching} vs per_tuple",
         )
 
 
