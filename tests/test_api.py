@@ -195,6 +195,15 @@ class TestBatchingKnobs:
         with pytest.raises(ValueError, match="choices: adaptive, per_tuple"):
             GridJoinOperator(eq5_query, config=RunConfig(), batching="turbo")
 
+    @pytest.mark.parametrize("batching", ["adaptive", "per_tuple"])
+    def test_blocking_derives_the_per_tuple_plane(self, eq5_query, batching):
+        config = RunConfig(machines=8, seed=3, batching=batching, blocking=True)
+        assert config.batching == batching  # accepted as given, not rejected
+        result = JoinSession(eq5_query, config=config).run()
+        assert result.batching == "per_tuple"
+        assert not result.batch_histogram
+        assert result.output_count > 0
+
     def test_adaptive_flows_through_session(self, eq5_query):
         session = JoinSession(
             eq5_query, config=RunConfig(machines=8, seed=3, batching="adaptive")

@@ -22,6 +22,13 @@ class Recorder(Task):
         ctx.charge(self.cost)
 
 
+class DrainingRecorder(Recorder):
+    """A :class:`Recorder` whose messages the adaptive plane may drain by kind."""
+
+    def drain_key(self, message: Message):
+        return message.kind
+
+
 class Forwarder(Task):
     """Task that forwards every payload to a destination."""
 
@@ -191,6 +198,27 @@ class TestFeed:
         # Each tuple is stamped and delivered at its own arrival time.
         assert [item.arrival_time for item in items] == [float(i) for i in range(10)]
         assert [time for time, _ in task.log] == [float(i) for i in range(10)]
+
+    def test_drained_feed_reproduces_the_per_tuple_busy_chain(self):
+        """A backlog drained in runs starts every member at the virtual time
+        the per-tuple plane starts it, and finishes at the same time."""
+
+        items = self._items(12)
+
+        def run(adaptive):
+            sim = Simulator(num_machines=1)
+            if adaptive:
+                sim.install_batching()
+            task = sim.register(DrainingRecorder("r", machine_id=0, cost=1.5))
+            schedule = ArrivalSchedule(items=items, inter_arrival=0.5)
+            sim.feed_schedule(schedule, destination_picker=lambda item: "r")
+            return sim.run(), task.log, sim.events_processed
+
+        per_tuple_end, per_tuple_log, per_tuple_events = run(adaptive=False)
+        drained_end, drained_log, drained_events = run(adaptive=True)
+        assert drained_log == per_tuple_log
+        assert drained_end == per_tuple_end
+        assert drained_events < per_tuple_events
 
     def test_network_accounting_is_per_message(self):
         """Every transfer counts one message and its size as volume."""

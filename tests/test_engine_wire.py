@@ -45,6 +45,8 @@ OPERATORS = {
 PLANES = {
     "per_tuple": {"batching": "per_tuple"},
     "adaptive": {"batching": "adaptive"},
+    # The blocking migration protocol always runs on the per-tuple plane.
+    "blocking": {"blocking": True},
 }
 
 
@@ -59,6 +61,14 @@ class Recorder(Task):
     def handle(self, message: Message, ctx: Context) -> None:
         self.log.append((ctx.now, message.sender, message.payload))
         ctx.charge(self.cost)
+
+
+class DrainingRecorder(Recorder):
+    """A :class:`Recorder` whose messages are drainable by kind, so the
+    adaptive plane coalesces its backlog into drained runs."""
+
+    def drain_key(self, message: Message):
+        return message.kind
 
 
 class Burster(Task):
@@ -160,6 +170,19 @@ class TestHeapEntryPerSend:
         sim.run()
         assert sim.heap_events == 9 + 9
         assert sim.events_processed == 9
+
+    def test_drained_feed_is_still_one_entry_per_arrival(self):
+        """Receiver-side draining saves ticks, never heap entries for sends."""
+        sim = Simulator(num_machines=1)
+        sim.install_batching()
+        task = sim.register(DrainingRecorder("r", machine_id=0, cost=1.0))
+        items = [StreamTuple(relation="R", record={"i": i}, size=1.0) for i in range(9)]
+        sim.feed_schedule(ArrivalSchedule(items=items), lambda item: "r")
+        assert len(sim._queue) == 9
+        sim.run()
+        assert [payload for _, _, payload in task.log] == items
+        ticks = sim.heap_events - 9
+        assert 1 <= ticks < 9
 
 
 # ---------------------------------------------------------------------------
